@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -155,12 +156,12 @@ func TestMCChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nominal, err := core.NominalRun(fx.sys, coupledOptions())
+		nominal, pceVar, err := mcReference(fx.sys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := newOutcome()
-		checkMC(o, mc, nominal, mcSamples)
+		checkMC(o, mc, nominal, pceVar, mcSamples)
 		requireCorrect(t, o)
 		if seed != heldOutSeed {
 			continue
@@ -168,7 +169,7 @@ func TestMCChecks(t *testing.T) {
 		requireFails(t, "a sample missing", func(o *outcome) {
 			r := *mc
 			r.SamplesRun--
-			checkMC(o, &r, nominal, mcSamples)
+			checkMC(o, &r, nominal, pceVar, mcSamples)
 		})
 		requireFails(t, "mean shifted by ten standard errors", func(o *outcome) {
 			r := *mc
@@ -178,8 +179,20 @@ func TestMCChecks(t *testing.T) {
 					r.Mean[s][i] += 10 * math.Sqrt(mc.Variance[s][i]/float64(mcSamples))
 				}
 			}
-			checkMC(o, &r, nominal, mcSamples)
+			checkMC(o, &r, nominal, pceVar, mcSamples)
 		})
+		for _, scale := range []float64{4, 0.25} {
+			requireFails(t, fmt.Sprintf("variance scaled by %g", scale), func(o *outcome) {
+				r := *mc
+				r.Variance = copyGrid(mc.Variance)
+				for s := range r.Variance {
+					for i := range r.Variance[s] {
+						r.Variance[s][i] *= scale
+					}
+				}
+				checkMC(o, &r, nominal, pceVar, mcSamples)
+			})
+		}
 	}
 }
 

@@ -39,6 +39,9 @@ const (
 	// random variables), so the maximum behaves like one Gaussian norm
 	// of two dimensions: exceeding 5 has probability about 4e-6.
 	mcMaxZ = 5.0
+	// mcVarZ sets the interval of the Monte Carlo variance check: the
+	// standard normal quantile of a two-sided 1e-4 probability.
+	mcVarZ = 3.89
 )
 
 // moments is a per-step, per-node mean and variance.
@@ -238,9 +241,61 @@ func mcMaxZScore(mc *montecarlo.Result, nominal [][]float64) (float64, error) {
 	return worst, nil
 }
 
-// checkMC checks a Monte Carlo run: every requested sample ran, and the
-// mean lies within mcMaxZ of its own standard errors of µ0.
-func checkMC(o *outcome, mc *montecarlo.Result, nominal [][]float64, samples int) {
+// chiSquareQuantile returns the quantile of the χ² distribution with k
+// degrees of freedom at the standard normal quantile z (Wilson–Hilferty).
+func chiSquareQuantile(k, z float64) float64 {
+	h := 2 / (9 * k)
+	return k * math.Pow(1-h+z*math.Sqrt(h), 3)
+}
+
+// mcVarianceInterval is where the ratio of a Monte Carlo population
+// variance over n samples to the true variance lies with probability
+// 1 − 1e-4: n times the ratio is χ² with n − 1 degrees of freedom.
+func mcVarianceInterval(n int) (lo, hi float64) {
+	k := float64(n - 1)
+	return chiSquareQuantile(k, -mcVarZ) / float64(n), chiSquareQuantile(k, mcVarZ) / float64(n)
+}
+
+// mcVarianceRatio returns the Monte Carlo variance over the coupled
+// PCE variance, averaged over the nodes and steps whose PCE spread
+// exceeds 1e-3 of the largest. An average of ratios that each follow
+// the scaled χ² spreads no wider than one of them, so the interval of
+// mcVarianceInterval holds for it.
+func mcVarianceRatio(mc *montecarlo.Result, pceVar [][]float64) (float64, error) {
+	if len(mc.Variance) != len(pceVar) {
+		return 0, fmt.Errorf("%d steps vs %d PCE", len(mc.Variance), len(pceVar))
+	}
+	maxVar := 0.0
+	for s := range pceVar {
+		if len(pceVar[s]) != len(mc.Variance[s]) {
+			return 0, fmt.Errorf("step %d: %d nodes vs %d PCE", s, len(mc.Variance[s]), len(pceVar[s]))
+		}
+		for _, v := range pceVar[s] {
+			maxVar = math.Max(maxVar, v)
+		}
+	}
+	var sum float64
+	var n int
+	for s := range pceVar {
+		for i, v := range pceVar[s] {
+			if math.Sqrt(v) <= 1e-3*math.Sqrt(maxVar) {
+				continue
+			}
+			sum += mc.Variance[s][i] / v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("no node with a non-negligible PCE spread")
+	}
+	return sum / float64(n), nil
+}
+
+// checkMC checks a Monte Carlo run: every requested sample ran, the
+// mean lies within mcMaxZ of its own standard errors of µ0, and the
+// variance agrees with the coupled PCE variance pceVar of the same
+// fixture within the sampling interval of mcVarianceInterval.
+func checkMC(o *outcome, mc *montecarlo.Result, nominal, pceVar [][]float64, samples int) {
 	if mc.SamplesRun != samples {
 		o.check("mc.samples", fmt.Errorf("ran %d samples, requested %d", mc.SamplesRun, samples))
 	}
@@ -251,6 +306,13 @@ func checkMC(o *outcome, mc *montecarlo.Result, nominal [][]float64, samples int
 	}
 	o.check("mc.mean_vs_nominal", err)
 	o.info["mc_max_z"] = z
+	ratio, err := mcVarianceRatio(mc, pceVar)
+	lo, hi := mcVarianceInterval(mc.SamplesRun)
+	if err == nil && !(ratio >= lo && ratio <= hi) {
+		err = fmt.Errorf("variance is %.3g times the coupled PCE variance, outside [%.3g, %.3g]", ratio, lo, hi)
+	}
+	o.check("mc.variance_vs_pce", err)
+	o.info["mc_variance_ratio"] = ratio
 }
 
 // checkSameBytes requires a repeat's bytes to equal the first solve's.

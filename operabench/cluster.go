@@ -11,9 +11,11 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"opera/internal/cluster"
+	"opera/internal/cluster/ring"
 	"opera/internal/core"
 	"opera/internal/factor"
 	"opera/internal/grid"
@@ -29,9 +31,11 @@ import (
 const (
 	// coldNodes sizes cold grids so a shard's run time sits inside one
 	// interval of the client poll schedule (checks at 0, 50, 150, 350,
-	// 750 ms): 500-node solves run 60–100 ms, so a cold request is
-	// answered at the 150 ms poll. See README.md for the observed range.
-	coldNodes = 500
+	// 750 ms): 600-node solves run about 60–120 ms, so a cold request is
+	// answered at the 150 ms poll. 500-node solves ran 40–70 ms on a fast
+	// host and straddled the 50 ms poll. See README.md for the observed
+	// range.
+	coldNodes = 600
 	// hitPoolSize is the number of keys solved during set-up that hit
 	// requests repeat.
 	hitPoolSize = 4
@@ -39,9 +43,16 @@ const (
 	numClients  = 2
 	// clusterSetupReps is how many times a run starts the cluster and
 	// solves the hit pool; setup_s is the median.
-	clusterSetupReps = 5
-	// roundsPerBlock is the length of the repeating unit of the mix.
-	roundsPerBlock = 10
+	clusterSetupReps = 9
+	// A block runs each request class in a phase of its own, so no
+	// end-to-end metric blends classes. No traffic trace exists to take
+	// class shares from: these counts are chosen, and they set only how
+	// many samples of each class a run collects. They give a 20 s run
+	// more than 100 cold requests, so the cold p90 has at least 10
+	// samples beyond it.
+	hitsPerClient   = 200 // per block, back to back
+	coldPerClient   = 4   // per block, back to back
+	coalescedRounds = 1   // per block, both clients sending one fresh key
 )
 
 // Request classes of the mix.
@@ -62,20 +73,32 @@ const (
 	shardSpanRingKiB = 1024
 )
 
+// programDefault marks an option left at zero, which the program
+// replaces with its own default.
+const programDefault = "0 (program default)"
+
 func shardConfig() map[string]any {
 	return map[string]any{
 		"shards": numShards, "queue": shardQueueDepth, "jobs": shardJobs,
 		"workers": "GOMAXPROCS/jobs", "cache_mb": shardCacheBytes >> 20,
 		"job_timeout": shardJobTimeout.String(), "flight": shardFlightJobs,
-		"span_ring_kb": shardSpanRingKiB, "peek_timeout": "150ms (default)",
+		"span_ring_kb": shardSpanRingKiB, "peek_timeout": programDefault,
 		"peers": "each other", "log": "json info to a discarding writer",
 		"process_metrics": "sparse, order and factor on a process registry",
 		"cold_nodes":      coldNodes, "hit_pool": hitPoolSize, "clients": numClients,
+		"block": map[string]int{
+			"hits_per_client": hitsPerClient, "cold_per_client": coldPerClient,
+			"coalesced_rounds": coalescedRounds,
+		},
 	}
 }
 
 func routerConfig() map[string]any {
-	return map[string]any{"replicas": "64 (default)", "sweep_workers": "4 per shard (default)", "scrape_timeout": "2s (default)"}
+	return map[string]any{
+		"replicas":       ring.DefaultReplicas,
+		"sweep_workers":  programDefault,
+		"scrape_timeout": programDefault,
+	}
 }
 
 // testCluster is a router and its peer-linked shards, each on its own
@@ -188,20 +211,13 @@ func newMixRequest(class string, nodes int, gridSeed int64) mixRequest {
 	return mixRequest{class: class, req: req, key: norm.Key()}
 }
 
-// mixSchedule generates the seeded request mix in blocks of ten rounds.
-// Each round sends one request per client at once, and the next round
-// starts when both have completed (closed loop, two clients). A block
-// always holds two coalesced rounds (both clients send the same fresh
-// key), five rounds pairing a cold request with a hit, and three rounds
-// of two hits; the seed shuffles the rounds, assigns the clients and
-// picks the grids. Fixed block composition keeps the class shares, and
-// so throughput, independent of the seed.
+// mixSchedule generates the seeded requests: the hit pool, the hits
+// drawn from it, and the fresh grids of cold and coalesced requests.
 type mixSchedule struct {
 	rng   *rand.Rand
 	base  int64
 	fresh int64
 	pool  []mixRequest
-	queue [][numClients]mixRequest
 }
 
 func newMixSchedule(seed int64) *mixSchedule {
@@ -219,32 +235,6 @@ func (s *mixSchedule) freshRequest(class string) mixRequest {
 
 func (s *mixSchedule) hit() mixRequest { return s.pool[s.rng.Intn(len(s.pool))] }
 
-// next returns the next round.
-func (s *mixSchedule) next() [numClients]mixRequest {
-	if len(s.queue) == 0 {
-		kinds := []int{0, 0, 1, 1, 1, 1, 1, 2, 2, 2} // roundsPerBlock rounds
-		s.rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
-		for _, k := range kinds {
-			var r [numClients]mixRequest
-			switch k {
-			case 0:
-				r[0] = s.freshRequest(classCoalesced)
-				r[1] = r[0]
-			case 1:
-				c := s.rng.Intn(numClients)
-				r[c] = s.freshRequest(classCold)
-				r[1-c] = s.hit()
-			default:
-				r[0], r[1] = s.hit(), s.hit()
-			}
-			s.queue = append(s.queue, r)
-		}
-	}
-	r := s.queue[0]
-	s.queue = s.queue[1:]
-	return r
-}
-
 // reqOutcome is what one client request observed.
 type reqOutcome struct {
 	mix    mixRequest
@@ -252,16 +242,62 @@ type reqOutcome struct {
 	data   []byte
 	status service.JobStatus
 	err    error
-	// Set by the traced client only.
+	// Set by stagedRequest only.
 	traceID           string
 	submitMS, fetchMS float64
 }
+
+// programMS is the time the program spent on a staged request: the
+// submit, the shard's queued and run time, and the fetch. It leaves out
+// the time the client sleeps between polls.
+func (r reqOutcome) programMS() float64 {
+	return r.submitMS + r.status.QueuedMS + r.status.RunMS + r.fetchMS
+}
+
+// sender sends one request and reports what the client observed.
+type sender func(context.Context, *service.Client, mixRequest) reqOutcome
 
 // runRequest sends one request the way `opera -remote` does.
 func runRequest(ctx context.Context, c *service.Client, m mixRequest) reqOutcome {
 	t0 := time.Now()
 	data, info, err := c.RunBytes(ctx, m.req)
 	return reqOutcome{mix: m, latMS: ms(time.Since(t0)), data: data, status: info.Status, err: err}
+}
+
+// stagedRequest makes the three calls of RunBytes (Submit, Wait and
+// ResultBytes) one by one, so the submit and the fetch can be timed.
+// With a tracer it wraps each in a span, and the request carries the
+// tracer's trace ID.
+func stagedRequest(ctx context.Context, c *service.Client, m mixRequest, tr *obs.Tracer) reqOutcome {
+	r := reqOutcome{mix: m, traceID: m.req.TraceID}
+	t0 := time.Now()
+	sp := tr.Start("client.submit")
+	sub, err := c.Submit(ctx, m.req)
+	sp.End()
+	r.submitMS = ms(time.Since(t0))
+	if err == nil {
+		sp = tr.Start("client.wait")
+		r.status, err = c.Wait(ctx, sub.ID)
+		sp.End()
+	}
+	if err == nil && r.status.State != service.StateDone {
+		err = fmt.Errorf("job %s %s: %s", sub.ID, r.status.State, r.status.Error)
+	}
+	if err == nil {
+		t1 := time.Now()
+		sp = tr.Start("client.fetch")
+		r.data, err = c.ResultBytes(ctx, sub.ID)
+		sp.End()
+		r.fetchMS = ms(time.Since(t1))
+	}
+	r.latMS = ms(time.Since(t0))
+	r.err = err
+	return r
+}
+
+// untracedStaged is stagedRequest without spans.
+func untracedStaged(ctx context.Context, c *service.Client, m mixRequest) reqOutcome {
+	return stagedRequest(ctx, c, m, nil)
 }
 
 // presolveRequest submits a request and polls its status every 2 ms
@@ -287,89 +323,128 @@ func presolveRequest(ctx context.Context, c *service.Client, m mixRequest) reqOu
 	return r
 }
 
-// clientPool runs one goroutine per client; each round is handed to
-// both at once and collected before the next starts.
-type clientPool struct {
-	in  [numClients]chan mixRequest
-	out chan clientReply
+// mixClients are the closed-loop clients of a run.
+type mixClients [numClients]*service.Client
+
+func newMixClients(url string) *mixClients {
+	var cl mixClients
+	for i := range cl {
+		cl[i] = service.NewClient(url)
+	}
+	return &cl
 }
 
-type clientReply struct {
-	client int
-	r      reqOutcome
-}
-
-func startClients(ctx context.Context, url string, do func(context.Context, *service.Client, mixRequest) reqOutcome) *clientPool {
-	p := &clientPool{out: make(chan clientReply, numClients)}
-	for i := range p.in {
-		p.in[i] = make(chan mixRequest)
-		c := service.NewClient(url)
-		go func(i int, in <-chan mixRequest) {
-			for m := range in {
-				p.out <- clientReply{i, do(ctx, c, m)}
+// phase runs one closed loop per client at once: client i sends
+// reqs[i] in order, each request after the one before has completed.
+// It returns when every client is done.
+func (cl *mixClients) phase(ctx context.Context, reqs [numClients][]mixRequest, send sender) [numClients][]reqOutcome {
+	var (
+		out [numClients][]reqOutcome
+		wg  sync.WaitGroup
+	)
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, m := range reqs[i] {
+				out[i] = append(out[i], send(ctx, cl[i], m))
 			}
-		}(i, p.in[i])
+		}(i)
 	}
-	return p
+	wg.Wait()
+	return out
 }
 
-// round sends r and waits for both replies.
-func (p *clientPool) round(r [numClients]mixRequest) [numClients]reqOutcome {
-	for i := range p.in {
-		p.in[i] <- r[i]
-	}
-	var got [numClients]reqOutcome
-	for range p.in {
-		rep := <-p.out
-		got[rep.client] = rep.r
-	}
-	return got
+// mixSenders says how each class is sent.
+type mixSenders struct {
+	hit, cold, coalesced sender
 }
 
-// close stops the client goroutines; every round has been collected,
-// so they are idle and exit at once.
-func (p *clientPool) close() {
-	for i := range p.in {
-		close(p.in[i])
-	}
-}
+// timedSenders are those of the untraced run: hits and coalesced pairs
+// go through RunBytes, and cold requests are staged so their program
+// time can be measured.
+var timedSenders = mixSenders{hit: runRequest, cold: untracedStaged, coalesced: runRequest}
 
 // mixRun accumulates a run's requests and checks the byte-identity
-// invariants as rounds complete.
+// invariants as phases complete.
 type mixRun struct {
 	o        *outcome
 	poolData map[string][]byte
 	fresh    []reqOutcome // first outcome of every cold and coalesced key
 	lat      map[string][]float64
-	attempt  int
-	failed   int
+	// Hit phases: completed hits per second of each, their total wall
+	// time, heap bytes allocated and completed hits.
+	hitRates  []float64
+	hitTime   time.Duration
+	hitAllocs uint64
+	hits      int
+	attempt   int
+	failed    int
 }
 
 func newMixRun(o *outcome, poolData map[string][]byte) *mixRun {
 	return &mixRun{o: o, poolData: poolData, lat: map[string][]float64{}}
 }
 
-// add records one round.
-func (mr *mixRun) add(got [numClients]reqOutcome) {
-	for i, r := range got {
-		mr.attempt++
-		if r.err != nil {
-			mr.failed++
-			mr.o.check("request", fmt.Errorf("%s %s: %w", r.mix.class, r.mix.key[:12], r.err))
-			continue
+// add records one request; it returns false if the request failed.
+func (mr *mixRun) add(r reqOutcome) bool {
+	mr.attempt++
+	if r.err != nil {
+		mr.failed++
+		mr.o.check("request", fmt.Errorf("%s %s: %w", r.mix.class, r.mix.key[:12], r.err))
+		return false
+	}
+	mr.lat[r.mix.class] = append(mr.lat[r.mix.class], r.latMS)
+	switch r.mix.class {
+	case classHit:
+		mr.hits++
+		mr.o.check("hit.bytes", checkSameBytes(mr.poolData[r.mix.key], r.data))
+	case classCold:
+		mr.fresh = append(mr.fresh, r)
+	}
+	return true
+}
+
+// block runs one hit phase, one cold phase and coalescedRounds
+// coalesced rounds.
+func (mr *mixRun) block(ctx context.Context, cl *mixClients, s *mixSchedule, send mixSenders) {
+	var hits, cold [numClients][]mixRequest
+	for i := range hits {
+		for k := 0; k < hitsPerClient; k++ {
+			hits[i] = append(hits[i], s.hit())
 		}
-		mr.lat[r.mix.class] = append(mr.lat[r.mix.class], r.latMS)
-		switch r.mix.class {
-		case classHit:
-			mr.o.check("hit.bytes", checkSameBytes(mr.poolData[r.mix.key], r.data))
-		case classCold:
-			mr.fresh = append(mr.fresh, r)
-		case classCoalesced:
-			if i == 0 {
-				mr.fresh = append(mr.fresh, r)
-			} else if got[0].err == nil {
-				mr.o.check("coalesced.bytes", checkSameBytes(got[0].data, r.data))
-			}
+	}
+	for i := range cold {
+		for k := 0; k < coldPerClient; k++ {
+			cold[i] = append(cold[i], s.freshRequest(classCold))
+		}
+	}
+	a0, t0 := heapAllocs(), time.Now()
+	got := cl.phase(ctx, hits, send.hit)
+	d := time.Since(t0)
+	mr.hitAllocs += heapAllocs() - a0
+	mr.hitTime += d
+	done := mr.hits
+	for _, rs := range got {
+		for _, r := range rs {
+			mr.add(r)
+		}
+	}
+	mr.hitRates = append(mr.hitRates, float64(mr.hits-done)/d.Seconds())
+	for _, rs := range cl.phase(ctx, cold, send.cold) {
+		for _, r := range rs {
+			mr.add(r)
+		}
+	}
+	for k := 0; k < coalescedRounds; k++ {
+		m := s.freshRequest(classCoalesced)
+		pair := cl.phase(ctx, [numClients][]mixRequest{{m}, {m}}, send.coalesced)
+		first, second := pair[0][0], pair[1][0]
+		if mr.add(first) {
+			mr.fresh = append(mr.fresh, first)
+		}
+		if mr.add(second) && first.err == nil {
+			mr.o.check("coalesced.bytes", checkSameBytes(first.data, second.data))
 		}
 	}
 }
@@ -385,24 +460,31 @@ func (mr *mixRun) cold() []reqOutcome {
 	return out
 }
 
+// coldProgramMS returns the program time of every cold request.
+func (mr *mixRun) coldProgramMS() []float64 {
+	var out []float64
+	for _, r := range mr.cold() {
+		out = append(out, r.programMS())
+	}
+	return out
+}
+
 // solveHitPool solves every pool key once, both clients in parallel,
 // and returns the first bytes of each. It polls every few milliseconds
 // instead of on the client's backoff schedule, so set-up time follows
 // the solves rather than the poll steps.
 func solveHitPool(ctx context.Context, url string, pool []mixRequest) (map[string][]byte, error) {
-	p := startClients(ctx, url, presolveRequest)
-	defer p.close()
+	var reqs [numClients][]mixRequest
+	for k, m := range pool {
+		reqs[k%numClients] = append(reqs[k%numClients], m)
+	}
 	data := map[string][]byte{}
-	for i := 0; i < len(pool); i += numClients {
-		var r [numClients]mixRequest
-		for c := range r {
-			r[c] = pool[(i+c)%len(pool)]
-		}
-		for _, got := range p.round(r) {
-			if got.err != nil {
-				return nil, fmt.Errorf("solving the hit pool: %w", got.err)
+	for _, rs := range newMixClients(url).phase(ctx, reqs, presolveRequest) {
+		for _, r := range rs {
+			if r.err != nil {
+				return nil, fmt.Errorf("solving the hit pool: %w", r.err)
 			}
-			data[got.mix.key] = got.data
+			data[r.mix.key] = r.data
 		}
 	}
 	return data, nil
@@ -441,26 +523,23 @@ func runClusterMix(seed int64, window time.Duration) (*outcome, error) {
 	}
 	defer c.stop()
 	mr := newMixRun(o, poolData)
-	p := startClients(ctx, c.url, runRequest)
-	runtime.GC()
-	a0 := heapAllocs()
-	// Whole blocks only, so every run sends the same class shares.
+	cl := newMixClients(c.url)
+	// Whole blocks only, at least one.
 	start := time.Now()
-	for time.Since(start) < window {
-		for i := 0; i < roundsPerBlock; i++ {
-			mr.add(p.round(sched.next()))
+	for {
+		mr.block(ctx, cl, sched, timedSenders)
+		if time.Since(start) >= window {
+			break
 		}
 	}
-	elapsed := time.Since(start)
-	allocs := heapAllocs() - a0
-	p.close()
 
 	o.attempted, o.failed = mr.attempt, mr.failed
 	o.set("setup_s", "s", setupS)
-	o.set("latency_ms", "ms", median(mr.lat[classCold]))
-	o.set("ops_per_s", "1/s", float64(mr.attempt-mr.failed)/elapsed.Seconds())
-	o.set("alloc_mb_per_op", "MB", float64(allocs)/float64(mr.attempt)/1e6)
+	o.set("latency_ms", "ms", median(mr.coldProgramMS()))
+	o.set("ops_per_s", "1/s", median(mr.hitRates))
+	o.set("alloc_mb_per_op", "MB", float64(mr.hitAllocs)/float64(max(mr.hits, 1))/1e6)
 	mr.describe()
+	o.info["hit_phase_s"] = mr.hitTime.Seconds()
 	checkCluster(o, c, mr, len(sched.pool))
 	return o, nil
 }
@@ -497,14 +576,32 @@ func (mr *mixRun) describe() {
 // checkCluster verifies every fresh result against an in-process
 // analysis of the same normalized request (results are identical for
 // every worker count), and that every distinct key was solved once.
+// The analyses run on GOMAXPROCS goroutines.
 func checkCluster(o *outcome, c *testCluster, mr *mixRun, poolKeys int) {
-	for _, r := range mr.fresh {
-		var jr service.JobResult
-		if err := json.Unmarshal(r.data, &jr); err != nil {
-			o.check("fresh.decode", err)
-			continue
-		}
-		o.check("fresh.vs_inprocess", checkAgainstInProcess(r.mix.req, jr))
+	errs := make([]error, len(mr.fresh))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				var jr service.JobResult
+				if err := json.Unmarshal(mr.fresh[i].data, &jr); err != nil {
+					errs[i] = fmt.Errorf("decoding: %w", err)
+					continue
+				}
+				errs[i] = checkAgainstInProcess(mr.fresh[i].mix.req, jr)
+			}
+		}()
+	}
+	for i := range mr.fresh {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		o.check("fresh.vs_inprocess", err)
 	}
 	keys := int64(poolKeys + len(mr.fresh))
 	if solves := c.counter("service.solves_total"); solves != keys {

@@ -28,7 +28,7 @@ const (
 
 	// setupReps is how many times a run builds its inputs; setup_s is
 	// the median.
-	setupReps = 7
+	setupReps = 11
 )
 
 // fixture is one generated grid and its MNA stamp.
@@ -225,16 +225,30 @@ func runMC(seed int64, window time.Duration) (*outcome, error) {
 	if res == nil {
 		return nil, fmt.Errorf("every Monte Carlo run failed")
 	}
-	nominal, err := core.NominalRun(fx.sys, coupledOptions())
+	nominal, pceVar, err := mcReference(fx.sys)
 	if err != nil {
-		return nil, fmt.Errorf("nominal run: %w", err)
+		return nil, err
 	}
-	checkMC(o, res, nominal, mcSamples)
+	checkMC(o, res, nominal, pceVar, mcSamples)
 	// sample_ms with coupled-6800's latency gives the paper's ratio:
 	// 1000 × sample_ms ÷ coupled latency_ms.
 	o.info["samples"] = mcSamples
 	o.info["sample_ms"] = median(m.latMS) / mcSamples
 	return o, nil
+}
+
+// mcReference returns what a Monte Carlo run is checked against: the
+// nominal run µ0 and the coupled PCE variance of the same system.
+func mcReference(sys *mna.System) (nominal, pceVar [][]float64, err error) {
+	nominal, err = core.NominalRun(sys, coupledOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("nominal run: %w", err)
+	}
+	pce, err := core.Analyze(sys, coupledOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("coupled reference: %w", err)
+	}
+	return nominal, pce.Variance, nil
 }
 
 // heapAllocs reads the cumulative heap allocation counter.

@@ -33,7 +33,7 @@ const (
 	leakagePairs    = 5
 	replayRefactors = 5
 	replaySolves    = 50
-	tracedMixBlocks = 4 // 40 rounds
+	tracedMixBlocks = 3
 	stitchedSample  = 3 // cold requests whose stitched trace is fetched
 )
 
@@ -292,11 +292,11 @@ func traceMC(o *outcome, seed int64, nodes int) error {
 	if err != nil {
 		return fmt.Errorf("mc: %w", err)
 	}
-	nominal, err := core.NominalRun(fx.sys, coupledOptions())
+	nominal, pceVar, err := mcReference(fx.sys)
 	if err != nil {
 		return err
 	}
-	checkMC(o, res, nominal, mcSamples)
+	checkMC(o, res, nominal, pceVar, mcSamples)
 	d := tr.Dump()
 	idx := indexSpans(d)
 	o.set("montecarlo.run_ms", "ms", idx.ms("montecarlo.run"))
@@ -367,37 +367,15 @@ func relResidual(a *sparse.Matrix, x, b []float64) float64 {
 	return num / den
 }
 
-// tracedRequest sends one request as Submit, Wait and ResultBytes
-// under benchmark-side spans that share the request's trace ID.
+// tracedRequest sends one request as stagedRequest does, under
+// benchmark-side spans that share the request's trace ID.
 func tracedRequest(ctx context.Context, c *service.Client, m mixRequest) reqOutcome {
 	id := obs.NewTraceID()
 	tr := obs.New("client.request")
 	tr.SetTraceID(id)
 	m.req.TraceID = string(id)
-	r := reqOutcome{mix: m}
-	t0 := time.Now()
-	sp := tr.Start("client.submit")
-	sub, err := c.Submit(ctx, m.req)
-	sp.End()
-	if err == nil {
-		sp = tr.Start("client.wait")
-		r.status, err = c.Wait(ctx, sub.ID)
-		sp.End()
-	}
-	if err == nil && r.status.State != service.StateDone {
-		err = fmt.Errorf("job %s %s: %s", sub.ID, r.status.State, r.status.Error)
-	}
-	if err == nil {
-		sp = tr.Start("client.fetch")
-		r.data, err = c.ResultBytes(ctx, sub.ID)
-		sp.End()
-	}
-	r.latMS = ms(time.Since(t0))
-	r.err = err
+	r := stagedRequest(ctx, c, m, tr)
 	tr.Finish()
-	idx := indexSpans(tr.Dump())
-	r.submitMS, r.fetchMS = idx.ms("client.submit"), idx.ms("client.fetch")
-	r.traceID = string(id)
 	return r
 }
 
@@ -414,11 +392,11 @@ func traceCluster(o *outcome, seed int64) error {
 		return err
 	}
 	mr := newMixRun(o, poolData)
-	p := startClients(ctx, c.url, tracedRequest)
-	for i := 0; i < tracedMixBlocks*roundsPerBlock; i++ {
-		mr.add(p.round(sched.next()))
+	cl := newMixClients(c.url)
+	traced := mixSenders{hit: tracedRequest, cold: tracedRequest, coalesced: tracedRequest}
+	for i := 0; i < tracedMixBlocks; i++ {
+		mr.block(ctx, cl, sched, traced)
 	}
-	p.close()
 	checkCluster(o, c, mr, len(sched.pool))
 	o.attempted += mr.attempt
 	o.failed += mr.failed
