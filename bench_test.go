@@ -150,10 +150,10 @@ func BenchmarkSolverAblation(b *testing.B) {
 
 func BenchmarkOrderingAblation(b *testing.B) {
 	ords := []galerkin.Ordering{
-		galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderMD, galerkin.OrderNatural,
+		galerkin.OrderAMD, galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderMD, galerkin.OrderNatural,
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunOrderingAblation(1600, 2005, ords)
+		rows, err := experiments.RunOrderingAblation([]int{1600}, 2005, ords, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,8 @@ func BenchmarkOrderingAblation(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-		b.ReportMetric(float64(rows[0].FactorNNZ), "nd-factor-nnz")
+		b.ReportMetric(float64(rows[0].FactorNNZ), "amd-factor-nnz")
+		b.ReportMetric(float64(rows[1].FactorNNZ), "nd-factor-nnz")
 	}
 }
 

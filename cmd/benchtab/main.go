@@ -176,17 +176,26 @@ func main() {
 		return experiments.FormatMORAblation(row).Write(os.Stdout)
 	})
 	run("ordering", func() error {
-		nodes := 1600
-		if *full {
-			nodes = 19181
-		}
-		rows, err := experiments.RunOrderingAblation(nodes, *seed, []galerkin.Ordering{
-			galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderMD, galerkin.OrderAMD, galerkin.OrderNatural,
-		})
+		rows, err := experiments.RunOrderingAblation([]int{1600}, *seed, []galerkin.Ordering{
+			galerkin.OrderAMD, galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderMD, galerkin.OrderNatural,
+		}, 1)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Augmented-system ordering ablation (%d nodes)\n\n", nodes)
+		fmt.Printf("Augmented-system ordering ablation (1600 nodes)\n\n")
+		if err := experiments.FormatOrderingAblation(rows).Write(os.Stdout); err != nil {
+			return err
+		}
+		// The two contenders by grid size, to paper scale with -full.
+		sizes := []int{256, 600, 1600}
+		if *full {
+			sizes = append(sizes, 6800, 20000)
+		}
+		rows, err = experiments.RunOrderingAblation(sizes, *seed, []galerkin.Ordering{galerkin.OrderND, galerkin.OrderAMD}, 3)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nND vs AMD by grid size (median of 3 analyses)\n\n")
 		return experiments.FormatOrderingAblation(rows).Write(os.Stdout)
 	})
 }

@@ -42,7 +42,7 @@ func main() {
 		order    = flag.Int("order", 2, "chaos expansion order p")
 		step     = flag.Float64("step", 1e-10, "time step (s)")
 		steps    = flag.Int("steps", 20, "number of time steps")
-		ordering = flag.String("ordering", "nd", "fill-reducing ordering: nd, rcm, md, amd, natural")
+		ordering = orderingFlag(flag.CommandLine)
 		track    = flag.String("track", "", "comma-separated node ids to report distributions for")
 		csvPath  = flag.String("csv", "", "write per-node moments at the final step as CSV")
 		mcCheck  = flag.Int("mc", 0, "also run Monte Carlo with this many samples and report accuracy")
@@ -90,6 +90,10 @@ func main() {
 		return
 	}
 
+	ord, err := galerkin.ParseOrdering(*ordering)
+	if err != nil {
+		fatal("opera: %v", err)
+	}
 	tr := newTracer(*trace, *traceOut, *pprof)
 	defer exportTrace(tr, *trace, *traceOut)
 
@@ -99,7 +103,7 @@ func main() {
 		spA.End()
 		runLeakage(nl, core.LeakageOptions{
 			Regions: *regions, SigmaLogI: *sigmaI, Order: *order,
-			Step: *step, Steps: *steps, Workers: *workers, Obs: tr,
+			Step: *step, Steps: *steps, Ordering: ord, Workers: *workers, Obs: tr,
 		})
 		return
 	}
@@ -111,7 +115,7 @@ func main() {
 	spA.End()
 	opts := core.Options{
 		Order: *order, Step: *step, Steps: *steps,
-		Ordering: parseOrdering(*ordering), Workers: *workers, Obs: tr,
+		Ordering: ord, Workers: *workers, Obs: tr,
 	}
 	trackNodes := parseTrack(*track)
 	opts.TrackNodes = trackNodes
@@ -225,22 +229,10 @@ func loadOrGenerate(path string, nodes int, seed int64) *netlist.Netlist {
 	return nl
 }
 
-func parseOrdering(s string) galerkin.Ordering {
-	switch s {
-	case "nd":
-		return galerkin.OrderND
-	case "rcm":
-		return galerkin.OrderRCM
-	case "md":
-		return galerkin.OrderMD
-	case "amd":
-		return galerkin.OrderAMD
-	case "natural":
-		return galerkin.OrderNatural
-	default:
-		fatal("opera: unknown ordering %q", s)
-		return 0
-	}
+// orderingFlag registers -ordering on fs; its default is the
+// solver's default ordering.
+func orderingFlag(fs *flag.FlagSet) *string {
+	return fs.String("ordering", galerkin.OrderAMD.String(), "fill-reducing ordering: amd, nd, rcm, md, natural")
 }
 
 func parseTrack(s string) []int {

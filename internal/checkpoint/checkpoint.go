@@ -32,8 +32,10 @@ import (
 )
 
 // Version is the on-disk envelope version; snapshots written by a
-// different version are discarded rather than misinterpreted.
-const Version = 1
+// different version are discarded rather than misinterpreted. Version
+// 2: Monte Carlo jobs follow the request's ordering, so an "amd" key's
+// version-1 snapshot may hold samples taken under nested dissection.
+const Version = 2
 
 // envelope is the on-disk form: a self-checking wrapper around an
 // opaque payload.

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -147,4 +148,44 @@ func TestKeySanitized(t *testing.T) {
 	if _, ok, _ := st.Load("../evil/../../path", &out); !ok || out.Next != 1 {
 		t.Fatal("sanitized key did not round-trip")
 	}
+}
+
+// A snapshot from an older envelope version — intact, checksummed and
+// under the right key — is discarded: its job key may now name a
+// different computation (version 1 predates Monte Carlo jobs following
+// the request's ordering).
+func TestOlderVersionDiscarded(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	if err := st.Save("k", "mc", 32, fakeState{Next: 32}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(st.Dir(), "k.ckpt")
+	if err := rewriteVersion(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	var out fakeState
+	if _, ok, err := st.Load("k", &out); ok || err != nil {
+		t.Fatalf("version-1 snapshot accepted: ok=%v err=%v", ok, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("version-1 snapshot not removed")
+	}
+}
+
+// rewriteVersion sets the envelope version of the snapshot at path,
+// leaving its payload and checksum intact.
+func rewriteVersion(path string, version int) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return err
+	}
+	env.Version = version
+	if data, err = json.Marshal(env); err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }

@@ -12,7 +12,6 @@ import (
 	"opera/internal/mna"
 	"opera/internal/netlist"
 	"opera/internal/obs"
-	"opera/internal/order"
 	"opera/internal/pce"
 	"opera/internal/poly"
 	"opera/internal/randvar"
@@ -39,7 +38,7 @@ type LeakageOptions struct {
 	// TrackNodes retains full expansions at these nodes.
 	TrackNodes []int
 	// Ordering selects the fill-reducing ordering of the decoupled
-	// companion factorization (default nested dissection).
+	// companion and DC factorizations (zero value: AMD).
 	Ordering galerkin.Ordering
 	// Workers caps the decoupled solver's per-basis worker pool; 0 or
 	// negative means GOMAXPROCS. Results are bit-identical for every
@@ -183,7 +182,7 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 	n := sys.N
 	start := time.Now()
 	companion := sparse.Add(1, sys.Ga, 1/opts.Step, sys.Ca)
-	perm := order.NestedDissection(order.NewGraph(companion), 0)
+	perm := opts.Ordering.Perm(companion)
 	comp, err := factor.CholeskyKernel(companion, perm, factor.KernelSupernodal)
 	if err != nil {
 		return nil, fmt.Errorf("core: leakage MC companion: %w", err)
@@ -269,7 +268,8 @@ func AnalyzeLeakageForceCoupled(nl *netlist.Netlist, opts LeakageOptions) (*Resu
 	}
 	return analyze(gsys, sys.VDD, Options{
 		Order: opts.Order, Step: opts.Step, Steps: opts.Steps,
-		TrackNodes: opts.TrackNodes, ForceCoupled: true, Workers: opts.Workers, Obs: opts.Obs,
+		Ordering: opts.Ordering, TrackNodes: opts.TrackNodes, ForceCoupled: true,
+		Workers: opts.Workers, Obs: opts.Obs,
 		Progress: opts.Progress,
 	})
 }

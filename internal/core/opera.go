@@ -35,8 +35,8 @@ type Options struct {
 	// Variation holds the first-order sensitivities; zero value means
 	// mna.DefaultSpec (the paper's Table 1 setup).
 	Variation *mna.VariationSpec
-	// Ordering selects the fill-reducing ordering of the augmented
-	// factorization.
+	// Ordering selects the fill-reducing ordering of every factor the
+	// analysis runs, Monte Carlo included (zero value: AMD).
 	Ordering galerkin.Ordering
 	// Kernel selects the scalar Cholesky kernel (supernodal blocked
 	// panels by default; KernelScalar forces the up-looking reference —
@@ -261,7 +261,8 @@ func RunMC(sys *mna.System, opts Options, samples int, seed int64, trackNodes []
 	start := time.Now()
 	mc, err := montecarlo.Run(sys, montecarlo.Options{
 		Samples: samples, Step: opts.Step, Steps: opts.Steps,
-		Seed: seed, TrackNodes: trackNodes, Workers: opts.Workers, Obs: opts.Obs,
+		Seed: seed, Ordering: opts.Ordering, TrackNodes: trackNodes,
+		Workers: opts.Workers, Obs: opts.Obs,
 		Progress: opts.Progress, Ctx: opts.Ctx,
 	})
 	return mc, time.Since(start), err

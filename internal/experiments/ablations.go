@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"time"
 
 	"opera/internal/core"
@@ -80,45 +81,57 @@ func FormatOrderSweep(rows []OrderSweepRow) *report.Table {
 }
 
 // OrderingRow records the augmented-factorization cost under one
-// fill-reducing ordering.
+// fill-reducing ordering on one grid.
 type OrderingRow struct {
-	Ordering  galerkin.Ordering
-	FactorNNZ int
-	OperaTime time.Duration
+	Nodes       int
+	Ordering    galerkin.Ordering
+	FactorNNZ   int
+	FactorFlops int64
+	OperaTime   time.Duration
 }
 
-// RunOrderingAblation compares ND, RCM, MD and natural orderings on the
-// augmented system of one grid.
-func RunOrderingAblation(nodes int, seed int64, orderings []galerkin.Ordering) ([]OrderingRow, error) {
-	nl, err := grid.Build(grid.DefaultSpec(nodes, seed))
-	if err != nil {
-		return nil, err
-	}
-	sys, err := mna.Build(nl, mna.DefaultSpec())
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]OrderingRow, 0, len(orderings))
-	for _, ord := range orderings {
-		opts := core.Options{Order: 2, Step: 1e-10, Steps: 20, Ordering: ord}
-		op, err := core.Analyze(sys, opts)
+// RunOrderingAblation compares fill-reducing orderings on the
+// augmented system of a grid of each size. Each analysis runs reps
+// times and keeps its median time; fill and flops are deterministic.
+func RunOrderingAblation(sizes []int, seed int64, orderings []galerkin.Ordering, reps int) ([]OrderingRow, error) {
+	var rows []OrderingRow
+	for _, nodes := range sizes {
+		nl, err := grid.Build(grid.DefaultSpec(nodes, seed))
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, OrderingRow{
-			Ordering:  ord,
-			FactorNNZ: op.Galerkin.FactorNNZ,
-			OperaTime: op.Elapsed,
-		})
+		sys, err := mna.Build(nl, mna.DefaultSpec())
+		if err != nil {
+			return nil, err
+		}
+		for _, ord := range orderings {
+			times := make([]time.Duration, reps)
+			var op *core.Result
+			for r := range times {
+				if op, err = core.Analyze(sys, core.Options{Order: 2, Step: 1e-10, Steps: 20, Ordering: ord}); err != nil {
+					return nil, err
+				}
+				times[r] = op.Elapsed
+			}
+			sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
+			rows = append(rows, OrderingRow{
+				Nodes:       nodes,
+				Ordering:    ord,
+				FactorNNZ:   op.Galerkin.FactorNNZ,
+				FactorFlops: op.Galerkin.FactorFlops,
+				OperaTime:   times[reps/2],
+			})
+		}
 	}
 	return rows, nil
 }
 
 // FormatOrderingAblation renders the ordering comparison.
 func FormatOrderingAblation(rows []OrderingRow) *report.Table {
-	t := report.NewTable("Ordering", "nnz(L) augmented", "CPU (s)")
+	t := report.NewTable("Nodes", "Ordering", "nnz(L) augmented", "factor flops", "CPU (s)")
 	for _, r := range rows {
-		t.AddRow(r.Ordering.String(), r.FactorNNZ, fmt.Sprintf("%.3f", r.OperaTime.Seconds()))
+		t.AddRow(r.Nodes, r.Ordering.String(), r.FactorNNZ, fmt.Sprintf("%.3g", float64(r.FactorFlops)),
+			fmt.Sprintf("%.3f", r.OperaTime.Seconds()))
 	}
 	return t
 }

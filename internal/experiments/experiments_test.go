@@ -131,29 +131,39 @@ func TestOrderSweep(t *testing.T) {
 }
 
 func TestOrderingAblation(t *testing.T) {
-	rows, err := RunOrderingAblation(250, 9,
-		[]galerkin.Ordering{galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderNatural})
+	rows, err := RunOrderingAblation([]int{250}, 9,
+		[]galerkin.Ordering{galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderNatural, galerkin.OrderAMD}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	// ND must beat natural ordering on factor fill.
+	// ND must beat natural ordering on factor fill, and AMD — the
+	// default — must beat ND on factor flops.
 	var nd, natural int
+	var ndFlops, amdFlops int64
 	for _, r := range rows {
+		if r.Nodes != 250 || r.OperaTime <= 0 {
+			t.Fatalf("bad row %+v", r)
+		}
 		switch r.Ordering {
 		case galerkin.OrderND:
-			nd = r.FactorNNZ
+			nd, ndFlops = r.FactorNNZ, r.FactorFlops
 		case galerkin.OrderNatural:
 			natural = r.FactorNNZ
+		case galerkin.OrderAMD:
+			amdFlops = r.FactorFlops
 		}
 	}
-	if nd == 0 || natural == 0 {
+	if nd == 0 || natural == 0 || ndFlops == 0 || amdFlops == 0 {
 		t.Fatal("missing fill data")
 	}
 	if nd >= natural {
 		t.Errorf("ND fill %d should beat natural %d", nd, natural)
+	}
+	if amdFlops >= ndFlops {
+		t.Errorf("AMD factor flops %d should beat ND's %d", amdFlops, ndFlops)
 	}
 }
 

@@ -35,7 +35,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	// Scalar union pattern over every operator term.
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
-	perm := permFor(pattern, opts.Ordering)
+	perm := opts.Ordering.Perm(pattern)
 	spO.End()
 
 	// Predict the block factor's memory from the scalar symbolic

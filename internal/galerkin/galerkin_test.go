@@ -4,9 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"opera/internal/factor"
 	"opera/internal/mna"
 	"opera/internal/netlist"
+	"opera/internal/numguard"
 	"opera/internal/obs"
+	"opera/internal/order"
 	"opera/internal/pce"
 	"opera/internal/quad"
 	"opera/internal/sparse"
@@ -291,6 +294,38 @@ func TestDecoupledEqualsCoupled(t *testing.T) {
 	}
 }
 
+// The decoupled path orders once: the companion's permutation serves
+// the DC factor of G0 too.
+func TestDecoupledOrdersOnce(t *testing.T) {
+	nl := smallGrid()
+	for i := range nl.Resistors {
+		nl.Resistors[i].OnDie = false
+	}
+	for i := range nl.Pads {
+		nl.Pads[i].OnDie = false
+	}
+	for i := range nl.Caps {
+		nl.Caps[i].GateFrac = 0
+	}
+	sys, err := mna.Build(nl, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { order.SetMetrics(nil) })
+	for _, ord := range []Ordering{OrderAMD, OrderND, OrderRCM, OrderMD} {
+		reg := obs.NewRegistry()
+		order.SetMetrics(reg)
+		_, _, res := runGalerkin(t, sys, 2, Options{Step: tStep, Steps: 3, Ordering: ord})
+		if !res.Decoupled {
+			t.Fatal("decoupled path not taken")
+		}
+		name := "order." + ord.String() + "_ms"
+		if got := reg.Snapshot().Histograms[name].Count; got != 1 {
+			t.Errorf("%v: %s counted %d orderings per analysis, want 1", ord, name, got)
+		}
+	}
+}
+
 func TestAssembledMatricesSymmetric(t *testing.T) {
 	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
 	if err != nil {
@@ -359,19 +394,19 @@ func TestForceLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ForceLU is exercised through factorize's fallback: assemble an
-	// indefinite-looking system by negating G̃ is artificial; instead
-	// just verify the LU fallback machinery directly.
+	// ForceLU is exercised through the ladder's LU fallback: assembling
+	// an indefinite-looking system by negating G̃ is artificial;
+	// instead verify the fallback machinery directly.
 	a := sparse.FromDense([][]float64{{0, 1}, {1, 0}}) // not PD, invertible
-	s, kind, err := factorize(a, OrderNatural, false)
-	if err != nil {
+	lad := numguard.NewLadder("step", numguard.Config{}, a, a.NormInf(),
+		scalarRungs(a, OrderNatural.Perm(a), factor.KernelSupernodal, 1, numguard.Config{}, false, nil), &numguard.Report{})
+	x := make([]float64, 2)
+	if err := lad.Solve(0, x, []float64{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if kind != "lu" {
+	if kind := lad.Rung(); kind != "lu" {
 		t.Errorf("factorizer %q, want lu", kind)
 	}
-	x := make([]float64, 2)
-	s.SolveTo(x, []float64{3, 4})
 	if math.Abs(x[0]-4) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Errorf("LU fallback solve wrong: %v", x)
 	}

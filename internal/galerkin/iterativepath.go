@@ -29,7 +29,7 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 	n, b := sys.N, sys.Basis.Size()
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
-	perm := permFor(pattern, opts.Ordering)
+	perm := opts.Ordering.Perm(pattern)
 	spO.End()
 
 	spF := tr.Start("factor")

@@ -118,6 +118,50 @@ func TestCheckpointWorkerCountInvariant(t *testing.T) {
 	}
 }
 
+// Every checkpoint a multi-worker run emits must describe the merge
+// frontier it claims: NextSample advances one chunk per snapshot, the
+// accumulators hold exactly NextSample samples, and resuming from it
+// runs the rest and reproduces the uninterrupted run. Reading a shard's
+// bounds after returning it to the pool let a snapshot carry the chunk
+// bounds of whichever worker had taken the shard next.
+func TestResumeFromEveryCheckpoint(t *testing.T) {
+	sys := testGrid()
+	base := Options{Samples: 16*mcChunk + 3, Step: 5e-11, Steps: 4, Seed: 17, Workers: 4}
+	full, err := Run(sys, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cps []*Checkpoint
+	opts := base
+	opts.CheckpointEvery = 1
+	opts.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+	if _, err := Run(sys, opts); err != nil {
+		t.Fatal(err)
+	}
+	if want := base.Samples / mcChunk; len(cps) != want {
+		t.Fatalf("%d checkpoints, want one per chunk below the budget (%d)", len(cps), want)
+	}
+	for i, cp := range cps {
+		if want := (i + 1) * mcChunk; cp.NextSample != want {
+			t.Fatalf("checkpoint %d: NextSample %d, want %d", i, cp.NextSample, want)
+		}
+		if got := cp.Acc[0][0].N; got != cp.NextSample {
+			t.Fatalf("checkpoint %d: accumulators hold %d samples, NextSample is %d", i, got, cp.NextSample)
+		}
+		resumed := base
+		resumed.Resume = cp
+		res, err := Run(sys, resumed)
+		if err != nil {
+			t.Fatalf("resume from %d: %v", cp.NextSample, err)
+		}
+		if res.SamplesRun != base.Samples {
+			t.Fatalf("resume from %d ran to %d samples, want %d", cp.NextSample, res.SamplesRun, base.Samples)
+		}
+		bitsEqual(t, "mean", res.Mean, full.Mean)
+		bitsEqual(t, "variance", res.Variance, full.Variance)
+	}
+}
+
 func TestResumeValidation(t *testing.T) {
 	sys := testGrid()
 	base := Options{Samples: 40, Step: 5e-11, Steps: 4, Seed: 3, CheckpointEvery: 16}

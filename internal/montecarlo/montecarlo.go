@@ -32,9 +32,9 @@ import (
 
 	"opera/internal/cancel"
 	"opera/internal/factor"
+	"opera/internal/galerkin"
 	"opera/internal/mna"
 	"opera/internal/obs"
-	"opera/internal/order"
 	"opera/internal/parallel"
 	"opera/internal/randvar"
 	"opera/internal/sparse"
@@ -48,6 +48,9 @@ type Options struct {
 	Steps   int
 	Method  transient.Method
 	Seed    int64
+	// Ordering selects the fill-reducing ordering of the shared
+	// companion analysis (zero value: AMD).
+	Ordering galerkin.Ordering
 	// Workers caps the sampling worker pool; 0 or negative means
 	// GOMAXPROCS. Results are identical for every value.
 	Workers int
@@ -272,8 +275,7 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 	}
 	union := sys.UnionPattern()
 	pattern := sparse.Add(1, union, scale, union)
-	perm := order.NestedDissection(order.NewGraph(pattern), 0)
-	sym := factor.Analyze(pattern, perm, factor.KernelSupernodal)
+	sym := factor.Analyze(pattern, opts.Ordering.Perm(pattern), factor.KernelSupernodal)
 
 	var lhsDraws [][]float64
 	if opts.LatinHypercube {
@@ -365,12 +367,14 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 				acc[s][i].Merge(&sh.acc[s][i])
 			}
 		}
-		res.SamplesRun = sh.hi
+		// Read hi before Put: a worker may take the shard at once.
+		hi := sh.hi
 		shardPool.Put(sh)
+		res.SamplesRun = hi
 		if opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-			sh.hi < opts.Samples && sh.hi-lastCkpt >= opts.CheckpointEvery {
-			lastCkpt = sh.hi
-			opts.OnCheckpoint(snapshot(res, acc, opts, n, sh.hi))
+			hi < opts.Samples && hi-lastCkpt >= opts.CheckpointEvery {
+			lastCkpt = hi
+			opts.OnCheckpoint(snapshot(res, acc, opts, n, hi))
 		}
 		return nil
 	}

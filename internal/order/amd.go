@@ -19,23 +19,36 @@ import "opera/internal/obs"
 func AMD(g *Graph) []int {
 	defer observe(func(m *orderMetrics) *obs.Histogram { return m.amd })()
 	n := g.N
-	varAdj := make([][]int, n)  // remaining direct variable neighbors
-	elemAdj := make([][]int, n) // adjacent element ids
+	// Av and Ev of vertex v live in v's slot [g.Ptr[v], g.Ptr[v+1]) of
+	// two flat arrays: each element appended to Ev replaces the pivot or
+	// an element the same elimination absorbed, so |Av|+|Ev| <= deg(v).
+	varAdj := append([]int(nil), g.Adj...)
+	elemAdj := make([]int, len(g.Adj))
+	varLen := make([]int, n)
+	elemLen := make([]int, n)
 	for v := 0; v < n; v++ {
-		varAdj[v] = append([]int(nil), g.Neighbors(v)...)
+		varLen[v] = g.Degree(v)
 	}
-	elems := make([][]int, 0, n) // element id -> boundary (live subset lazily compacted)
+	av := func(v int) []int { return varAdj[g.Ptr[v] : g.Ptr[v]+varLen[v]] }
+	ev := func(v int) []int { return elemAdj[g.Ptr[v] : g.Ptr[v]+elemLen[v]] }
+
+	// Element boundaries share one arena, in element order. A new
+	// boundary is at most the pivot's Av plus the boundaries it absorbs
+	// and frees, so live boundaries never exceed len(g.Adj) in total and
+	// a full arena is compacted rather than grown.
+	arena := make([]int, len(g.Adj)+n)
+	top := 0
+	elemStart := make([]int, 0, n)
+	elemSize := make([]int, 0, n)
 	elemAlive := make([]bool, 0, n)
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
+	bnd := func(e int) []int { return arena[elemStart[e] : elemStart[e]+elemSize[e]] }
 
-	deg := make([]int, n) // current degree bound d̄(v)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	buckets := newDegBuckets(deg, n)
+	deg := append([]int(nil), varLen...) // current degree bound d̄(v)
+	queue := newDegQueue(deg)
 
 	mark := make([]int, n) // Lp membership stamp
 	for i := range mark {
@@ -48,26 +61,47 @@ func AMD(g *Graph) []int {
 	// compactElem drops dead vertices from an element boundary and
 	// returns its live size.
 	compactElem := func(e int) int {
-		bnd := elems[e][:0]
-		for _, v := range elems[e] {
+		live := bnd(e)[:0]
+		for _, v := range bnd(e) {
 			if alive[v] {
-				bnd = append(bnd, v)
+				live = append(live, v)
 			}
 		}
-		elems[e] = bnd
-		return len(bnd)
+		elemSize[e] = len(live)
+		return len(live)
+	}
+	// newElem stores lp as the boundary of a new element.
+	newElem := func(lp []int) {
+		if top+len(lp) > len(arena) {
+			top = 0
+			for e := range elemStart {
+				if !elemAlive[e] {
+					continue
+				}
+				copy(arena[top:], bnd(e)) // top <= elemStart[e]: moves down
+				elemStart[e] = top
+				top += compactElem(e)
+			}
+			if top+len(lp) > len(arena) { // unreachable by the bound above
+				arena = append(arena, make([]int, top+len(lp)-len(arena))...)
+			}
+		}
+		elemStart = append(elemStart, top)
+		elemSize = append(elemSize, copy(arena[top:], lp))
+		elemAlive = append(elemAlive, true)
+		top += len(lp)
 	}
 
 	lp := make([]int, 0, n)
 	perm := make([]int, 0, n)
 	for k := 0; k < n; k++ {
-		p := buckets.PopMin()
+		p := queue.PopMin()
 		// Build Lp = (Av ∪ ⋃ Le) \ {p}: the boundary of the new element.
 		stamp++
 		mark[p] = stamp
 		lp = lp[:0]
-		liveV := varAdj[p][:0]
-		for _, v := range varAdj[p] {
+		liveV := av(p)[:0]
+		for _, v := range av(p) {
 			if alive[v] {
 				liveV = append(liveV, v)
 				if mark[v] != stamp {
@@ -76,30 +110,29 @@ func AMD(g *Graph) []int {
 				}
 			}
 		}
-		varAdj[p] = liveV
-		liveE := elemAdj[p][:0]
-		for _, e := range elemAdj[p] {
+		varLen[p] = len(liveV)
+		liveE := ev(p)[:0]
+		for _, e := range ev(p) {
 			if !elemAlive[e] {
 				continue
 			}
 			liveE = append(liveE, e)
-			for _, v := range elems[e] {
+			for _, v := range bnd(e) {
 				if alive[v] && mark[v] != stamp {
 					mark[v] = stamp
 					lp = append(lp, v)
 				}
 			}
 		}
-		elemAdj[p] = liveE
+		elemLen[p] = len(liveE)
 		perm = append(perm, p)
 		alive[p] = false
 		// The pivot's elements are absorbed into the new one.
-		for _, e := range elemAdj[p] {
+		for _, e := range ev(p) {
 			elemAlive[e] = false
 		}
-		ep := len(elems)
-		elems = append(elems, append([]int(nil), lp...))
-		elemAlive = append(elemAlive, true)
+		ep := len(elemStart)
+		newElem(lp)
 		wStamp = append(wStamp, 0)
 		wVal = append(wVal, 0)
 
@@ -107,7 +140,7 @@ func AMD(g *Graph) []int {
 		// v ∈ Lp, w[e] ends as |Le \ Lp| (first touch seeds the live
 		// size, each Lp member found in Le subtracts one).
 		for _, v := range lp {
-			for _, e := range elemAdj[v] {
+			for _, e := range ev(v) {
 				if !elemAlive[e] {
 					continue
 				}
@@ -123,19 +156,19 @@ func AMD(g *Graph) []int {
 		for _, v := range lp {
 			// Av loses dead vertices and Lp members (those adjacencies are
 			// now represented by the new element).
-			liveV := varAdj[v][:0]
-			for _, u := range varAdj[v] {
+			liveV := av(v)[:0]
+			for _, u := range av(v) {
 				if alive[u] && mark[u] != stamp {
 					liveV = append(liveV, u)
 				}
 			}
-			varAdj[v] = liveV
+			varLen[v] = len(liveV)
 			// Ev keeps live elements; |Le\Lp| == 0 means Le ⊆ Lp — the
 			// element is indistinguishable from the new one, so absorb it
 			// (aggressive absorption).
-			liveE := elemAdj[v][:0]
+			liveE := ev(v)[:0]
 			elemSum := 0
-			for _, e := range elemAdj[v] {
+			for _, e := range ev(v) {
 				if !elemAlive[e] {
 					continue
 				}
@@ -150,9 +183,12 @@ func AMD(g *Graph) []int {
 					elemSum += compactElem(e)
 				}
 			}
-			liveE = append(liveE, ep)
-			elemAdj[v] = liveE
-			d := len(varAdj[v]) + (len(lp) - 1) + elemSum
+			if g.Ptr[v]+len(liveE) == g.Ptr[v+1] {
+				panic("order: AMD element list outgrew its adjacency slot")
+			}
+			elemAdj[g.Ptr[v]+len(liveE)] = ep
+			elemLen[v] = len(liveE) + 1
+			d := varLen[v] + (len(lp) - 1) + elemSum
 			if b := deg[v] + len(lp) - 1; b < d {
 				d = b
 			}
@@ -163,7 +199,7 @@ func AMD(g *Graph) []int {
 				d = 0
 			}
 			deg[v] = d
-			buckets.Update(v, d)
+			queue.Update(v, d)
 		}
 	}
 	return perm

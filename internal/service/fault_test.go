@@ -3,11 +3,18 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"opera/internal/checkpoint"
+	"opera/internal/galerkin"
 	"opera/internal/grid"
+	"opera/internal/mna"
+	"opera/internal/montecarlo"
 	"opera/internal/service/inject"
 )
 
@@ -241,5 +248,77 @@ func TestReadinessSaturation(t *testing.T) {
 	waitDone(t, s, queued.ID)
 	if ok, _, _ := s.Readiness(); !ok {
 		t.Fatal("readiness stuck after queue drained")
+	}
+}
+
+// A Monte Carlo snapshot left by a version-1 server is discarded and
+// the job runs from sample 0: under version 1 the same job key could
+// name a run under another ordering. The identical snapshot under the
+// current version resumes, so the version alone decides.
+func TestOldVersionCheckpointRestarts(t *testing.T) {
+	req := mcRequest(5, 64)
+	req.Normalize()
+	nl, err := grid.Build(*req.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := mna.Build(nl, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordering, err := galerkin.ParseOrdering(req.Ordering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *montecarlo.Checkpoint
+	if _, err := montecarlo.Run(sys, montecarlo.Options{
+		Samples: req.Samples, Step: req.Step, Steps: req.Steps, Seed: req.Seed, Ordering: ordering,
+		CheckpointEvery: 32, OnCheckpoint: func(c *montecarlo.Checkpoint) {
+			if cp == nil {
+				cp = c
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		version int
+		resumes int64
+	}{{1, 0}, {checkpoint.Version, 1}} {
+		dir := t.TempDir()
+		store, err := checkpoint.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(req.Key(), ckptKindMC, cp.NextSample, cp); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, req.Key()+".ckpt")
+		var env map[string]json.RawMessage
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &env)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		env["version"] = json.RawMessage(strconv.Itoa(tc.version))
+		if data, err = json.Marshal(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Options{ConcurrentJobs: 1, CheckpointDir: dir, CheckpointEvery: 1 << 20})
+		sub, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, s, sub.ID); st.State != StateDone || st.Degraded {
+			t.Fatalf("version %d: state %s degraded %v", tc.version, st.State, st.Degraded)
+		}
+		if got := s.mResumes.Value(); got != tc.resumes {
+			t.Errorf("version-%d snapshot: %d resumes, want %d", tc.version, got, tc.resumes)
+		}
 	}
 }

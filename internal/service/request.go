@@ -52,7 +52,7 @@ type Request struct {
 	Order        int     `json:"order,omitempty"`
 	Step         float64 `json:"step,omitempty"`
 	Steps        int     `json:"steps,omitempty"`
-	Ordering     string  `json:"ordering,omitempty"` // nd|rcm|md|amd|natural
+	Ordering     string  `json:"ordering,omitempty"` // amd|nd|rcm|md|natural
 	TrackNodes   []int   `json:"track_nodes,omitempty"`
 	ForceCoupled bool    `json:"force_coupled,omitempty"`
 	ForceLU      bool    `json:"force_lu,omitempty"`
@@ -108,8 +108,8 @@ func (r *Request) Normalize() {
 	if r.Steps == 0 {
 		r.Steps = 20
 	}
-	if r.Ordering == "" {
-		r.Ordering = "nd"
+	if ord, err := galerkin.ParseOrdering(r.Ordering); err == nil {
+		r.Ordering = ord.String() // "" becomes the default's name
 	}
 	if r.Analysis == KindMC && r.Samples == 0 {
 		r.Samples = 200
@@ -148,8 +148,8 @@ func (r *Request) Validate() error {
 	default:
 		return fmt.Errorf("service: unknown analysis kind %q", r.Analysis)
 	}
-	if _, err := ParseOrdering(r.Ordering); err != nil {
-		return err
+	if _, err := galerkin.ParseOrdering(r.Ordering); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if r.Order < 1 {
 		return fmt.Errorf("service: order must be >= 1, got %d", r.Order)
@@ -179,23 +179,9 @@ func (r *Request) Validate() error {
 	return nil
 }
 
-// ParseOrdering maps the wire spelling to the galerkin enum.
-func ParseOrdering(s string) (galerkin.Ordering, error) {
-	switch s {
-	case "", "nd":
-		return galerkin.OrderND, nil
-	case "rcm":
-		return galerkin.OrderRCM, nil
-	case "md":
-		return galerkin.OrderMD, nil
-	case "amd":
-		return galerkin.OrderAMD, nil
-	case "natural":
-		return galerkin.OrderNatural, nil
-	default:
-		return 0, fmt.Errorf("service: unknown ordering %q", s)
-	}
-}
+// ParseOrdering is galerkin.ParseOrdering under the service's name;
+// the benchmark in operabench resolves request orderings through it.
+func ParseOrdering(s string) (galerkin.Ordering, error) { return galerkin.ParseOrdering(s) }
 
 // cacheKeyPayload is the canonical content of a request: every field
 // that changes the computed result, and nothing else. Field order is

@@ -16,6 +16,7 @@ import (
 	"opera/internal/cancel"
 	"opera/internal/checkpoint"
 	"opera/internal/core"
+	"opera/internal/galerkin"
 	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/montecarlo"
@@ -867,6 +868,13 @@ func (s *Server) profileOnBreach(j *job) {
 		return // finished inside the objective; nothing to capture
 	case <-t.C:
 	}
+	// done closes after the terminal telemetry; a finished job is done.
+	s.mu.Lock()
+	finished := !j.finished.IsZero()
+	s.mu.Unlock()
+	if finished {
+		return
+	}
 	s.mSLOProfiles.Inc()
 	reason := fmt.Sprintf("running > %s", s.opts.SLOProfileAfter)
 	if j.log != nil {
@@ -884,7 +892,7 @@ func (s *Server) Profiles() *obs.ProfileRing { return s.profiles }
 
 // finishJob moves a job to its terminal state and releases waiters.
 // Terminal telemetry (log events, flight entry) is emitted after the
-// server mutex is released.
+// server mutex is released and before the waiters are.
 func (s *Server) finishJob(j *job, result []byte, err error) {
 	// Read the cancellation cause before releasing the job's own
 	// context resources — our cleanup cancel would overwrite it.
@@ -961,9 +969,10 @@ func (s *Server) finishJob(j *job, result []byte, err error) {
 		s.journal.record(journalRecord{Event: journalEnd, ID: j.id, State: j.state})
 	}
 	state := j.state
-	close(j.done)
 	s.mu.Unlock()
+	// Release waiters only once the terminal telemetry is written.
 	s.recordTerminal(j, state, err, deadline)
+	close(j.done)
 }
 
 // recordTerminal emits a job's terminal telemetry — the deadline/
@@ -1089,7 +1098,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 	spA.SetAttrs(obs.Int("nodes", nl.NumNodes))
 	spA.End()
 	tr := j.tracer
-	ordering, _ := ParseOrdering(req.Ordering)
+	ordering, _ := galerkin.ParseOrdering(req.Ordering) // checked by Validate
 	workers := req.Workers
 	if workers == 0 {
 		workers = s.opts.SolverWorkers
@@ -1100,7 +1109,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 		res, err := core.AnalyzeLeakage(nl, core.LeakageOptions{
 			Regions: req.Regions, SigmaLogI: req.SigmaLogI,
 			Order: req.Order, Step: req.Step, Steps: req.Steps,
-			TrackNodes: req.TrackNodes, Workers: workers,
+			Ordering: ordering, TrackNodes: req.TrackNodes, Workers: workers,
 			Obs: tr, Progress: j.progress, Ctx: j.ctx,
 		})
 		if err != nil {
@@ -1116,7 +1125,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		jr, err = s.executeMC(j, sys, workers, tr)
+		jr, err = s.executeMC(j, sys, ordering, workers, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -1154,12 +1163,12 @@ func (s *Server) execute(j *job) ([]byte, error) {
 // for this content key, periodic checkpointing at merged-chunk
 // boundaries, and a degraded partial result when a deadline or drain
 // interrupts the sampling.
-func (s *Server) executeMC(j *job, sys *mna.System, workers int, tr *obs.Tracer) (*JobResult, error) {
+func (s *Server) executeMC(j *job, sys *mna.System, ordering galerkin.Ordering, workers int, tr *obs.Tracer) (*JobResult, error) {
 	req := j.req
 	start := time.Now()
 	mcOpts := montecarlo.Options{
 		Samples: req.Samples, Step: req.Step, Steps: req.Steps,
-		Seed: req.Seed, Workers: workers, Obs: tr,
+		Seed: req.Seed, Ordering: ordering, Workers: workers, Obs: tr,
 		Progress: j.progress, Ctx: j.ctx,
 	}
 	resumed := 0

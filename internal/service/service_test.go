@@ -50,7 +50,7 @@ func newTestServer(t *testing.T, opts Options) *Server {
 
 func TestRequestKeyCanonical(t *testing.T) {
 	// Spelled-out defaults hash like omitted ones.
-	a := Request{Netlist: "x", Analysis: "opera", Order: 2, Step: 1e-10, Steps: 20, Ordering: "nd"}
+	a := Request{Netlist: "x", Analysis: "opera", Order: 2, Step: 1e-10, Steps: 20, Ordering: "amd"}
 	b := Request{Netlist: "x"}
 	a.Normalize()
 	b.Normalize()
@@ -176,14 +176,23 @@ func TestQueueOverflow429(t *testing.T) {
 	ctx := context.Background()
 
 	// One job running, one in the queue; distinct seeds so nothing
-	// coalesces.
-	if _, err := c.Submit(ctx, slowRequest(1)); err != nil {
+	// coalesces. The running job must outlast the client's retries
+	// below (up to about 6 s of Retry-After waits), or the queue drains
+	// and a retry is admitted; a slowRequest alone runs about 5 s, so
+	// this one runs far longer and is canceled when the test ends.
+	long := slowRequest(1)
+	long.Steps *= 20
+	first, err := c.Submit(ctx, long)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Cancel(first.ID)
 	waitForRunning(t, s)
-	if _, err := c.Submit(ctx, slowRequest(2)); err != nil {
+	second, err := c.Submit(ctx, slowRequest(2))
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Cancel(second.ID)
 	// Queue full: raw request so the header is visible.
 	body, err := json.Marshal(slowRequest(3))
 	if err != nil {
