@@ -62,7 +62,7 @@ func main() {
 		jsonOut     = flag.String("json", "", "write the suite's BenchReport JSON to this file (- or empty with -suite: stdout)")
 		comparePath = flag.String("compare", "", "baseline BenchReport; compares against the report named by the positional argument and exits 0/1/2 (clean/warn/fail)")
 		traceOut    = flag.String("trace-out", "", "with -suite: write the shared suite trace (one span per scenario row) as JSON to this file")
-		kernelGate  = flag.Bool("kernel-gate", false, "with -suite: fail (exit 2) if any supernodal factor row is slower than its scalar mate")
+		kernelGate  = flag.Bool("kernel-gate", false, "with -suite: fail (exit 2) if any supernodal factor row refactors slower (median) than its scalar mate")
 	)
 	flag.Parse()
 	if *workers > 0 {

@@ -299,7 +299,7 @@ func RunSolverAblation(nodes int, seed int64) ([]SolverRow, error) {
 		}
 	}
 	return []SolverRow{
-		{Path: "direct block Cholesky", OperaTime: direct.Elapsed,
+		{Path: "direct supernodal Cholesky", OperaTime: direct.Elapsed,
 			FactorNNZ: direct.Galerkin.FactorNNZ},
 		{Path: "CG + mean preconditioner (§5.2)", OperaTime: iter.Elapsed,
 			FactorNNZ: iter.Galerkin.FactorNNZ, CGIterations: cgIters,

@@ -85,9 +85,9 @@ func (s *CholSymbolic) FlopEstimate() int64 {
 	return fl
 }
 
-// FillRatio reports nnz(L)/nnz(upper(A)) — 1.0 means no fill-in. The
-// denominator is the upper triangle (diagonal included) of the analyzed
-// pattern.
+// FillRatio reports nnz(L)/nnz(lower(A)) — 1.0 means no fill-in. The
+// denominator counts the upper triangle (diagonal included) of the
+// analyzed pattern, which the symmetric pattern makes equal.
 func (s *CholSymbolic) FillRatio() float64 {
 	annz := s.upper.Colp[s.upper.Cols]
 	if annz == 0 {

@@ -89,7 +89,7 @@ func Analyze(a *sparse.Matrix, perm []int, k Kernel) Analysis {
 	if k == KernelScalar {
 		return CholAnalyze(a, perm)
 	}
-	return CholAnalyzeSupernodal(a, perm, -1)
+	return CholAnalyzeSupernodal(a, perm, -1, 1)
 }
 
 // CholeskyKernel analyzes and factors in one call on the selected

@@ -14,7 +14,7 @@ import (
 // superFactorize analyzes and factors a with the supernodal kernel.
 func superFactorize(t *testing.T, a *sparse.Matrix, perm []int, relax, workers int) (*SuperSymbolic, *SuperFactor) {
 	t.Helper()
-	sym := CholAnalyzeSupernodal(a, perm, relax)
+	sym := CholAnalyzeSupernodal(a, perm, relax, 1)
 	f, err := sym.Factorize(a, nil, workers)
 	if err != nil {
 		t.Fatalf("supernodal factorize (relax %d, workers %d): %v", relax, workers, err)
@@ -155,12 +155,12 @@ func TestSupernodalNotPositiveDefiniteParity(t *testing.T) {
 			}
 		}
 	}
-	_, scalarErr := Cholesky(bad, CholAnalyzeSupernodal(bad, nil, -1).Permutation())
+	_, scalarErr := Cholesky(bad, CholAnalyzeSupernodal(bad, nil, -1, 1).Permutation())
 	if !errors.Is(scalarErr, ErrNotPositiveDefinite) {
 		t.Fatalf("scalar kernel accepted an indefinite matrix: %v", scalarErr)
 	}
 	for _, workers := range []int{1, 4} {
-		sym := CholAnalyzeSupernodal(bad, nil, -1)
+		sym := CholAnalyzeSupernodal(bad, nil, -1, 1)
 		_, err := sym.Factorize(bad, nil, workers)
 		if !errors.Is(err, ErrNotPositiveDefinite) {
 			t.Fatalf("workers %d: supernodal kernel accepted an indefinite matrix: %v", workers, err)
@@ -176,7 +176,7 @@ func TestSupernodalNotPositiveDefiniteParity(t *testing.T) {
 // track the new values.
 func TestSupernodalRefactorizeReuse(t *testing.T) {
 	a := laplacian2D(10, 10, 0.2)
-	var sym Analysis = CholAnalyzeSupernodal(a, order.AMD(order.NewGraph(a)), -1)
+	var sym Analysis = CholAnalyzeSupernodal(a, order.AMD(order.NewGraph(a)), -1, 1)
 	f1, err := sym.Refactorize(a, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestSupernodalFuzzEquivalence(t *testing.T) {
 		a := randomSPD(rng, n, 0.05+0.3*rng.Float64())
 		relax := rng.Intn(12)
 		workers := 1 + rng.Intn(4)
-		sym := CholAnalyzeSupernodal(a, nil, relax)
+		sym := CholAnalyzeSupernodal(a, nil, relax, 1)
 		ref, err := Cholesky(a, sym.Permutation())
 		if err != nil {
 			return false

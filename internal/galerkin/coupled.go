@@ -17,61 +17,45 @@ import (
 // solveCoupled runs the general OPERA path. The augmented companion
 // matrix G̃ + C̃/h is kept in block form — the scalar grid sparsity
 // pattern with one dense (N+1)×(N+1) chaos block per entry — and
-// factored once with the block Cholesky, whose elimination tree and
-// fill are those of the *n-node* grid rather than the (N+1)·n scalar
-// graph. The DC initialization G̃·a(0) = Ũ(0) is solved by conjugate
-// gradients preconditioned with the companion factor (G̃ differs from
-// it only by C̃/h, which is small at power-grid time constants), so the
-// whole transient costs a single factorization. If the block Cholesky
-// reports an indefinite matrix (possible under extreme variation
-// magnitudes where the Gaussian linear model loses positivity), the
-// numguard escalation ladder takes over: scalar Cholesky on the
-// expanded CSC system, then pivot-growth-checked LU, then IC(0)-
+// factored once by the supernodal Cholesky built from that block
+// pattern: its elimination tree and fill are those of the *n-node*
+// grid rather than the (N+1)·n scalar graph, and its panels read the
+// blocks directly. The DC initialization G̃·a(0) = Ũ(0) is solved by
+// conjugate gradients preconditioned with the companion factor (G̃
+// differs from it only by C̃/h, which is small at power-grid time
+// constants), so the whole transient costs a single factorization. If
+// the Cholesky reports an indefinite matrix (possible under extreme
+// variation magnitudes where the Gaussian linear model loses
+// positivity), the numguard escalation ladder takes over:
+// pivot-growth-checked LU on the expanded CSC system, then IC(0)-
 // preconditioned CG, with every transition recorded and every accepted
 // solve residual-verified.
 func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
 	n, b := sys.N, sys.Basis.Size()
-	// Scalar union pattern over every operator term.
+	// Scalar union pattern over every operator term, its ordering, and
+	// the supernodal analysis of the block pattern (which postorders
+	// the ordering's elimination tree).
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
 	perm := opts.Ordering.Perm(pattern)
+	sym := factor.CholAnalyzeSupernodal(pattern, perm, -1, b)
 	spO.End()
 
-	// Predict the block factor's memory from the scalar symbolic
-	// analysis and fall back to the §5.2 iterative path when it exceeds
-	// the budget: nnz(L_scalar)·B²·8 bytes of values.
+	// The analysis knows the factor's exact storage: fall back to the
+	// §5.2 iterative path when the panels exceed the memory budget.
 	budget := opts.MemoryBudget
 	if budget == 0 {
 		budget = 4 << 30
 	}
-	if budget > 0 {
-		sym := factor.CholAnalyze(pattern, perm)
-		need := int64(sym.LNNZ()) * int64(b*b) * 8
-		if need > budget {
-			return solveCoupledIterative(sys, opts, visit)
-		}
+	if budget > 0 && int64(sym.PanelNNZ())*8 > budget {
+		return solveCoupledIterative(sys, opts, visit)
 	}
 
 	spF := tr.Start("factor")
 	// Companion G̃ + C̃/h and the separate C̃ (needed for stepping).
 	spAsm := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
-	comp := factor.NewBlockMatrix(pattern, b)
-	for _, t := range sys.GTerms {
-		comp.AddTerm(t.Coupling, t.A)
-	}
-	var cBM *factor.BlockMatrix
-	if len(sys.CTerms) > 0 {
-		cBM = factor.NewBlockMatrix(pattern, b)
-		for _, t := range sys.CTerms {
-			cBM.AddTerm(t.Coupling, t.A)
-			comp.AddTerm(t.Coupling.Clone().Scale(1/opts.Step), t.A)
-		}
-	}
-	gBM := factor.NewBlockMatrix(pattern, b)
-	for _, t := range sys.GTerms {
-		gBM.AddTerm(t.Coupling, t.A)
-	}
+	comp, cBM, gBM := assembleBlocks(sys, pattern, opts.Step)
 	spAsm.End()
 
 	res := Result{AugmentedN: n * b}
@@ -80,7 +64,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	res.guard = rep
 	st := &factorStats{}
 	lad := numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-		blockRungs(comp, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
+		blockRungs(comp, sym, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
 	sol, err := lad.Solver(0)
 	if err != nil {
 		return Result{}, fmt.Errorf("galerkin: companion factorization: %w", err)
@@ -149,7 +133,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 			Reason: fmt.Sprintf("CG failed: %v", cgErr),
 		})
 		dcLad := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
-			blockRungs(gBM, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
+			blockRungs(gBM, sym, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
 		if err := dcLad.Solve(0, x, rhs); err != nil {
 			return Result{}, fmt.Errorf("galerkin: DC solve: %w", err)
 		}
@@ -191,6 +175,26 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
 	res.CondEst = lad.CondEstimate(nb)
 	return res, nil
+}
+
+// assembleBlocks builds the block operators of a transient run on the
+// node pattern: the companion G̃ + C̃/h, C̃ (nil without C terms) and G̃.
+func assembleBlocks(sys *System, pattern *sparse.Matrix, step float64) (comp, c, g *factor.BlockMatrix) {
+	b := sys.Basis.Size()
+	comp = factor.NewBlockMatrix(pattern, b)
+	g = factor.NewBlockMatrix(pattern, b)
+	for _, t := range sys.GTerms {
+		comp.AddTerm(t.Coupling, t.A)
+		g.AddTerm(t.Coupling, t.A)
+	}
+	if len(sys.CTerms) > 0 {
+		c = factor.NewBlockMatrix(pattern, b)
+		for _, t := range sys.CTerms {
+			c.AddTerm(t.Coupling, t.A)
+			comp.AddTerm(t.Coupling.Clone().Scale(1/step), t.A)
+		}
+	}
+	return comp, c, g
 }
 
 // unionScalarPattern returns the union sparsity pattern of every term's

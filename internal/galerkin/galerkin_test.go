@@ -136,7 +136,7 @@ func TestGalerkinMatchesQuadratureReference(t *testing.T) {
 	refMean, refVar := quadratureReference(t, sys, 7)
 	opts := Options{Step: tStep, Steps: tSteps}
 	mean, variance, res := runGalerkin(t, sys, 2, opts)
-	if res.Factorer != "block-cholesky" {
+	if res.Factorer != "supernodal" {
 		t.Errorf("expected SPD augmented system, factored with %s", res.Factorer)
 	}
 	if res.AugmentedN != 9*6 {
@@ -575,7 +575,7 @@ func TestMemoryBudgetSwitchesToIterative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Factorer != "block-cholesky" {
+	if res.Factorer != "supernodal" {
 		t.Errorf("unbudgeted solve used %s", res.Factorer)
 	}
 }
@@ -713,7 +713,7 @@ func TestForceLUMatchesBlockCholesky(t *testing.T) {
 	meanD, varD, resD := runGalerkin(t, sys, 2, opts)
 	opts.ForceLU = true
 	meanL, varL, resL := runGalerkin(t, sys, 2, opts)
-	if resD.Factorer != "block-cholesky" || resL.Factorer != "lu" {
+	if resD.Factorer != "supernodal" || resL.Factorer != "lu" {
 		t.Fatalf("paths: %s / %s", resD.Factorer, resL.Factorer)
 	}
 	for s := range meanD {

@@ -12,33 +12,20 @@ import (
 
 // This file wires the numguard escalation ladder into the Galerkin
 // solve paths. Rung order (most economical first, per the numguard
-// design): block Cholesky on the block-sparse companion → supernodal
-// blocked Cholesky on the expanded CSC → scalar up-looking Cholesky →
-// sparse LU with a pivot-growth acceptance check →
-// IC(0)-preconditioned CG as the last resort. The supernodal rung is
-// gated on Options.Kernel (KernelScalar drops it — the ablation
-// switch). Every factorization is attempted lazily: a healthy run
-// never expands the block matrix to CSC at all.
-
-// expandPerm lifts a node permutation to node-major scalar indexing
-// (global unknown i·B+m).
-func expandPerm(perm []int, b int) []int {
-	if perm == nil {
-		return nil
-	}
-	out := make([]int, len(perm)*b)
-	for k, p := range perm {
-		for m := 0; m < b; m++ {
-			out[k*b+m] = p*b + m
-		}
-	}
-	return out
-}
+// design): Cholesky → sparse LU with a pivot-growth acceptance check →
+// IC(0)-preconditioned CG as the last resort. The Cholesky rung runs
+// the supernodal kernel ("supernodal"), which factors a block system
+// straight from its blocks; Options.Kernel == KernelScalar swaps in
+// the scalar up-looking kernel ("cholesky", on the expanded CSC for a
+// block system) as the ablation, and ForceLU drops the rung. Every
+// factorization is attempted lazily: a healthy run never expands the
+// block matrix to CSC at all.
 
 // factorStats receives the cost facts of the first successful direct
 // factorization of a ladder: scalar nonzero count, symbolic flop
-// estimate, and fill ratio nnz(L)/nnz(upper(A)). A later escalation
-// overwrites them (the costlier factor is the one the solve ran on).
+// estimate, and fill ratio nnz(L)/nnz(lower(A)) of the scalar system
+// the rung factors. A later escalation overwrites them (the costlier
+// factor is the one the solve ran on).
 type factorStats struct {
 	nnz   int
 	flops int64
@@ -54,24 +41,34 @@ func (st *factorStats) set(nnz int, flops int64, fill float64) {
 	st.fill = fill
 }
 
+// cholRungName names the Cholesky rung the kernel selects.
+func cholRungName(kernel factor.Kernel) string {
+	if kernel == factor.KernelScalar {
+		return "cholesky"
+	}
+	return "supernodal"
+}
+
 // scalarRungs builds the ladder rungs for a scalar (n×n) system
-// matrix: supernodal → cholesky → lu (pivot-growth checked) → cg+ic0.
-// kernel == KernelScalar drops the supernodal rung and forceLU drops
-// both Cholesky rungs (ablation switches). workers caps the
-// supernodal factorization's task pool — the factor is bit-identical
-// for every value. st, when non-nil, receives the factor's cost facts
-// on each successful direct factorization.
+// matrix: Cholesky (kernel-selected) → lu (pivot-growth checked) →
+// cg+ic0. forceLU drops the Cholesky rung. workers caps the supernodal
+// factorization's task pool — the factor is bit-identical for every
+// value. st, when non-nil, receives the factor's cost facts on each
+// successful direct factorization.
 func scalarRungs(a *sparse.Matrix, perm []int, kernel factor.Kernel, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
 	cfg = cfg.WithDefaults()
 	var rungs []numguard.Rung
 	if !forceLU {
-		rungs = append(rungs, supernodalRung(a, perm, kernel, workers, st)...)
-		rungs = append(rungs, numguard.Rung{Name: "cholesky", Prepare: func() (numguard.Solver, error) {
-			f, err := factor.Cholesky(a, perm)
+		rungs = append(rungs, numguard.Rung{Name: cholRungName(kernel), Prepare: func() (numguard.Solver, error) {
+			sym := factor.Analyze(a, perm, kernel)
+			if ss, ok := sym.(*factor.SuperSymbolic); ok {
+				ss.Workers = parallel.Workers(workers)
+			}
+			f, err := sym.Refactorize(a, nil)
 			if err != nil {
 				return nil, err
 			}
-			st.set(f.Sym.LNNZ(), f.Sym.FlopEstimate(), f.Sym.FillRatio())
+			st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
 			return f, nil
 		}})
 	}
@@ -82,64 +79,27 @@ func scalarRungs(a *sparse.Matrix, perm []int, kernel factor.Kernel, workers int
 	return rungs
 }
 
-// supernodalRung builds the blocked-kernel rung, or nothing when the
-// scalar kernel was forced.
-func supernodalRung(a *sparse.Matrix, perm []int, kernel factor.Kernel, workers int, st *factorStats) []numguard.Rung {
-	if kernel == factor.KernelScalar {
-		return nil
-	}
-	return []numguard.Rung{{Name: "supernodal", Prepare: func() (numguard.Solver, error) {
-		sym := factor.CholAnalyzeSupernodal(a, perm, -1)
-		sym.Workers = parallel.Workers(workers)
-		f, err := sym.Refactorize(a, nil)
-		if err != nil {
-			return nil, err
-		}
-		st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
-		return f, nil
-	}}}
-}
-
-// blockRungs builds the ladder rungs for a block companion matrix. The
-// CSC expansion and the expanded permutation are computed at most once,
-// shared by the scalar rungs.
-func blockRungs(m *factor.BlockMatrix, perm []int, kernel factor.Kernel, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+// blockRungs builds the ladder rungs for a block companion matrix
+// whose node pattern sym analyzes (block size m.B, node permutation
+// perm): supernodal straight from the blocks → lu → cg+ic0. The CSC
+// expansion and the expanded permutation are computed at most once,
+// and only when a rung past the first needs them (or the scalar
+// kernel was forced).
+func blockRungs(m *factor.BlockMatrix, sym *factor.SuperSymbolic, perm []int, kernel factor.Kernel, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
 	cfg = cfg.WithDefaults()
 	var csc *sparse.Matrix
 	var scalPerm []int
 	expand := func() (*sparse.Matrix, []int) {
 		if csc == nil {
 			csc = m.ToCSC()
-			scalPerm = expandPerm(perm, m.B)
+			scalPerm = factor.ExpandPerm(perm, m.B)
 		}
 		return csc, scalPerm
 	}
 	var rungs []numguard.Rung
 	if !forceLU {
-		rungs = append(rungs,
-			numguard.Rung{Name: "block-cholesky", Prepare: func() (numguard.Solver, error) {
-				f, err := factor.BlockCholesky(m, perm)
-				if err != nil {
-					return nil, err
-				}
-				st.set(f.NNZ(), f.FlopEstimate(), f.FillRatio())
-				return numguard.SolverFunc(func(x, b []float64) { f.Solve(x, b) }), nil
-			}})
-		if kernel != factor.KernelScalar {
-			rungs = append(rungs, numguard.Rung{Name: "supernodal", Prepare: func() (numguard.Solver, error) {
-				a, p := expand()
-				sym := factor.CholAnalyzeSupernodal(a, p, -1)
-				sym.Workers = parallel.Workers(workers)
-				f, err := sym.Refactorize(a, nil)
-				if err != nil {
-					return nil, err
-				}
-				st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
-				return f, nil
-			}})
-		}
-		rungs = append(rungs,
-			numguard.Rung{Name: "cholesky", Prepare: func() (numguard.Solver, error) {
+		rungs = append(rungs, numguard.Rung{Name: cholRungName(kernel), Prepare: func() (numguard.Solver, error) {
+			if kernel == factor.KernelScalar {
 				a, p := expand()
 				f, err := factor.Cholesky(a, p)
 				if err != nil {
@@ -147,8 +107,14 @@ func blockRungs(m *factor.BlockMatrix, perm []int, kernel factor.Kernel, workers
 				}
 				st.set(f.Sym.LNNZ(), f.Sym.FlopEstimate(), f.Sym.FillRatio())
 				return f, nil
-			}},
-		)
+			}
+			f, err := sym.FactorizeBlock(m, nil, parallel.Workers(workers))
+			if err != nil {
+				return nil, err
+			}
+			st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
+			return f, nil
+		}})
 	}
 	rungs = append(rungs,
 		luRung(expand, cfg.PivotGrowthMax, st),
@@ -169,9 +135,19 @@ func luRung(mat func() (*sparse.Matrix, []int), growthMax float64, st *factorSta
 		if g := f.PivotGrowth(a); g > growthMax {
 			return nil, fmt.Errorf("pivot growth %.3g exceeds %.3g", g, growthMax)
 		}
+		// nnz(L)/nnz(lower(A)), as on the Cholesky rungs: without row
+		// exchanges LU's L has the Cholesky factor's pattern.
+		lower := 0
+		for j := 0; j < a.Cols; j++ {
+			for p := a.Colp[j]; p < a.Colp[j+1]; p++ {
+				if a.Rowi[p] >= j {
+					lower++
+				}
+			}
+		}
 		fill := 0.0
-		if annz := a.NNZ(); annz > 0 {
-			fill = float64(f.NNZ()) / float64(annz)
+		if lower > 0 {
+			fill = float64(f.L.NNZ()) / float64(lower)
 		}
 		st.set(f.NNZ(), f.FlopEstimate(), fill)
 		return f, nil

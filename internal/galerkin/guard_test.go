@@ -73,7 +73,7 @@ func TestInjectDriftRecoveredByRefinement(t *testing.T) {
 	refMean, refVar, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
-		SolveDrift: map[string]float64{"block-cholesky": 1e-3},
+		SolveDrift: map[string]float64{"supernodal": 1e-3},
 	})
 	t.Cleanup(restore)
 	mean, variance, res := guardedRun(t, sys, 2, opts)
@@ -81,7 +81,7 @@ func TestInjectDriftRecoveredByRefinement(t *testing.T) {
 	// A 1e-3 consistent drift is far above the 1e-8 residual tolerance
 	// but well within refinement reach (the error contracts by ~1e-3 per
 	// sweep), so the run must stay on the first rung and refine.
-	if res.Factorer != "block-cholesky" {
+	if res.Factorer != "supernodal" {
 		t.Errorf("drift must not escalate, got factorer %q", res.Factorer)
 	}
 	rep := res.Guard()
@@ -108,7 +108,7 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 	refMean, _, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
-		FailPrepare: map[string]int{"block-cholesky": -1, "supernodal": -1, "cholesky": -1},
+		FailPrepare: map[string]int{"supernodal": -1},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 2, opts)
@@ -117,10 +117,10 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 		t.Errorf("factorer %q, want lu", res.Factorer)
 	}
 	rep := res.Guard()
-	if rep == nil || len(rep.Transitions) < 3 {
-		t.Fatalf("expected block-cholesky→supernodal→cholesky→lu transitions, got %+v", rep)
+	if rep == nil || len(rep.Transitions) < 1 {
+		t.Fatalf("expected a supernodal→lu transition, got %+v", rep)
 	}
-	if rep.Transitions[0].From != "block-cholesky" || rep.Transitions[1].From != "supernodal" || rep.Transitions[2].From != "cholesky" {
+	if rep.Transitions[0].From != "supernodal" || rep.Transitions[0].To != "lu" {
 		t.Errorf("transition order wrong: %+v", rep.Transitions)
 	}
 	if d := maxAbsDiff(mean, refMean); d > 1e-8 {
@@ -137,7 +137,7 @@ func TestInjectNaNMidTransientRetriesStep(t *testing.T) {
 	refMean, _, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
-		SolveNaN: map[int]string{5: "block-cholesky"},
+		SolveNaN: map[int]string{5: "supernodal"},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 2, opts)
@@ -151,15 +151,15 @@ func TestInjectNaNMidTransientRetriesStep(t *testing.T) {
 	}
 	found := false
 	for _, tr := range rep.Transitions {
-		if tr.Step == 5 && tr.From == "block-cholesky" && tr.To == "supernodal" {
+		if tr.Step == 5 && tr.From == "supernodal" && tr.To == "lu" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no block-cholesky→supernodal transition at step 5: %+v", rep.Transitions)
+		t.Errorf("no supernodal→lu transition at step 5: %+v", rep.Transitions)
 	}
-	// The retried step (and all later ones, now on the supernodal
-	// rung) must still carry the correct verified solution.
+	// The retried step (and all later ones, now on the LU rung) must
+	// still carry the correct verified solution.
 	if d := maxAbsDiff(mean, refMean); d > 1e-8 {
 		t.Errorf("post-retry means off by %g", d)
 	}
@@ -210,7 +210,7 @@ func TestInjectNaNNeverEscapesWithoutError(t *testing.T) {
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN:    map[int]string{3: ""},
-		FailPrepare: map[string]int{"supernodal": -1, "cholesky": -1, "lu": -1, "cg+ic0": -1},
+		FailPrepare: map[string]int{"lu": -1, "cg+ic0": -1},
 	})
 	t.Cleanup(restore)
 	_, err = Solve(gsys, Options{Step: tStep, Steps: 10}, func(step int, _ float64, coeffs [][]float64) {
@@ -257,7 +257,7 @@ func TestInjectDecoupledPathEscalates(t *testing.T) {
 	}
 
 	restore := inject.Enable(&inject.Faults{
-		FailPrepare: map[string]int{"supernodal": -1, "cholesky": -1},
+		FailPrepare: map[string]int{"supernodal": -1},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 1, opts)

@@ -34,22 +34,7 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 
 	spF := tr.Start("factor")
 	spAsm := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
-	comp := factor.NewBlockMatrix(pattern, b)
-	for _, t := range sys.GTerms {
-		comp.AddTerm(t.Coupling, t.A)
-	}
-	var cBM *factor.BlockMatrix
-	if len(sys.CTerms) > 0 {
-		cBM = factor.NewBlockMatrix(pattern, b)
-		for _, t := range sys.CTerms {
-			cBM.AddTerm(t.Coupling, t.A)
-			comp.AddTerm(t.Coupling.Clone().Scale(1/opts.Step), t.A)
-		}
-	}
-	gBM := factor.NewBlockMatrix(pattern, b)
-	for _, t := range sys.GTerms {
-		gBM.AddTerm(t.Coupling, t.A)
-	}
+	comp, cBM, gBM := assembleBlocks(sys, pattern, opts.Step)
 
 	// Mean (identity-coupling) scalar matrices. The preconditioner
 	// factors go through mini-ladders of their own: a mean companion
@@ -136,11 +121,15 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 	cgIters := reg.Counter("galerkin.cg_iterations_total")
 
 	// On CG breakdown or a poisoned state the path escalates to the
-	// direct block ladder (block-cholesky → cholesky → lu → cg+ic0) and
-	// re-solves the failing step there — correctness over the memory
-	// economy that motivated the iterative path.
+	// direct block ladder (supernodal → lu → cg+ic0) and re-solves the
+	// failing step there — correctness over the memory economy that
+	// motivated the iterative path.
 	var direct *numguard.Ladder
+	var sym *factor.SuperSymbolic
 	escalate := func(step int, op *factor.BlockMatrix, cause error) error {
+		if sym == nil {
+			sym = factor.CholAnalyzeSupernodal(pattern, perm, -1, b)
+		}
 		if cause == nil {
 			rep.NonFinite()
 		}
@@ -149,20 +138,20 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 			reason = cause.Error()
 		}
 		rep.AddTransition(numguard.Transition{
-			Stage: "step", Step: step, From: "cg+mean-precond", To: "block-cholesky", Reason: reason,
+			Stage: "step", Step: step, From: "cg+mean-precond", To: cholRungName(opts.Kernel), Reason: reason,
 		})
 		if step > 0 {
 			rep.AddStepRetry()
 		}
 		if direct == nil {
 			direct = numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-				blockRungs(comp, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
+				blockRungs(comp, sym, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
 		}
 		if op == comp {
 			return direct.Solve(step, x, rhs)
 		}
 		dcLad := numguard.NewLadder("dc", opts.Guard, op, op.NormInf(),
-			blockRungs(op, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
+			blockRungs(op, sym, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
 		return dcLad.Solve(step, x, rhs)
 	}
 

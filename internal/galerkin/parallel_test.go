@@ -1,8 +1,11 @@
 package galerkin
 
 import (
+	"math"
 	"testing"
 
+	"opera/internal/factor"
+	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/pce"
 	"opera/internal/sparse"
@@ -160,5 +163,56 @@ func TestSolveRespectsWorkersOption(t *testing.T) {
 	opts := Options{Step: tStep, Steps: 5, Workers: 1000}
 	if _, err := Solve(gsys, opts, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoupledFactorDeterminism checks the row-split contract of the
+// coupled factor: on a grid whose root supernode is large enough to be
+// split across the pool, the companion factor and the coupled
+// trajectory are bit-identical at 1, 2 and 4 workers.
+func TestCoupledFactorDeterminism(t *testing.T) {
+	nl, err := grid.Build(grid.DefaultSpec(1500, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := mna.Build(nl, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Step: tStep, Steps: 4, ForceCoupled: true}
+	pattern := unionScalarPattern(gsys)
+	sym := factor.CholAnalyzeSupernodal(pattern, base.Ordering.Perm(pattern), -1, gsys.Basis.Size())
+	if sym.SplitSupernodes() == 0 {
+		t.Fatal("no supernode reaches the split size; the grid is too small to test the row split")
+	}
+	comp, _, _ := assembleBlocks(gsys, pattern, base.Step)
+	var refL []float64
+	var ref [][][]float64
+	for _, w := range []int{1, 2, 4} {
+		f, err := sym.FactorizeBlock(comp, nil, w)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		l := f.L().Val
+		opts := base
+		opts.Workers = w
+		snaps, res := collectCoeffs(t, gsys, opts)
+		if res.Factorer != "supernodal" {
+			t.Fatalf("workers=%d: factored with %s", w, res.Factorer)
+		}
+		if ref == nil {
+			refL, ref = l, snaps
+			continue
+		}
+		for i := range l {
+			if math.Float64bits(l[i]) != math.Float64bits(refL[i]) {
+				t.Fatalf("workers=%d: factor entry %d differs: %.17g vs %.17g", w, i, l[i], refL[i])
+			}
+		}
+		assertIdenticalCoeffs(t, ref, snaps, w)
 	}
 }

@@ -138,7 +138,7 @@ func (o Options) Validate() error {
 // facts of the solve plus the guard report accessor.
 type Result struct {
 	Decoupled  bool
-	Factorer   string // "block-cholesky", "cg+mean-precond" or "lu"
+	Factorer   string // ladder rung that served: "supernodal", "lu", "cg+mean-precond", ...
 	AugmentedN int    // size of the augmented system
 	FactorNNZ  int    // scalar-equivalent nnz of the factor (0 on the pure-CG rung)
 	StepsRun   int
@@ -185,7 +185,7 @@ func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][
 
 // solveDecoupled exploits a deterministic operator (§5.1, Eq. 27): one
 // n×n factorization, N+1 independent recursions. Every solve runs
-// through the numguard escalation ladder (cholesky → lu → cg+ic0) with
+// through the numguard escalation ladder (supernodal → lu → cg+ic0) with
 // residual verification.
 //
 // The N+1 recursions are independent within each time step, so they fan

@@ -195,3 +195,19 @@ func TestSuiteNames(t *testing.T) {
 		t.Fatal("want error for unknown suite")
 	}
 }
+
+// TestKernelGateReadsRefactorMedian: the gate judges the refactor
+// medians, not the wall samples that mix in grid build and analysis.
+func TestKernelGateReadsRefactorMedian(t *testing.T) {
+	rep := &Report{Rows: []Row{
+		{Name: "f-scalar", Path: "factor", Nodes: 2000, Ordering: "amd", Kernel: "scalar", WallMS: 20, RefactorMS: 3},
+		{Name: "f-super", Path: "factor", Nodes: 2000, Ordering: "amd", Kernel: "supernodal", WallMS: 40, RefactorMS: 2},
+	}}
+	if fails := KernelGate(rep, 0); len(fails) != 0 {
+		t.Fatalf("faster refactor median failed the gate: %v", fails)
+	}
+	rep.Rows[1].WallMS, rep.Rows[1].RefactorMS = 15, 3.5
+	if fails := KernelGate(rep, 0); len(fails) != 1 {
+		t.Fatalf("slower refactor median passed the gate: %v", fails)
+	}
+}

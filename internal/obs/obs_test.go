@@ -166,8 +166,8 @@ func TestNilFastPath(t *testing.T) {
 
 func TestDumpRoundTrip(t *testing.T) {
 	tr := New("opera.run")
-	sp := tr.Start("factor", Int("n", 2600), String("rung", "block-cholesky"))
-	tr.Start("factor.block-cholesky")
+	sp := tr.Start("factor", Int("n", 2600), String("rung", "supernodal"))
+	tr.Start("factor.supernodal")
 	tr.Finish()
 	_ = sp
 	reg := tr.Registry()
@@ -186,10 +186,10 @@ func TestDumpRoundTrip(t *testing.T) {
 	if d.Name != "opera.run" || len(d.Spans) != 1 || d.Spans[0].Name != "factor" {
 		t.Fatalf("decoded dump shape wrong: %+v", d)
 	}
-	if len(d.Spans[0].Spans) != 1 || d.Spans[0].Spans[0].Name != "factor.block-cholesky" {
+	if len(d.Spans[0].Spans) != 1 || d.Spans[0].Spans[0].Name != "factor.supernodal" {
 		t.Fatalf("nested span lost: %+v", d.Spans[0])
 	}
-	if d.Spans[0].Attrs["rung"] != "block-cholesky" || d.Spans[0].Attrs["n"] != "2600" {
+	if d.Spans[0].Attrs["rung"] != "supernodal" || d.Spans[0].Attrs["n"] != "2600" {
 		t.Errorf("attrs lost: %+v", d.Spans[0].Attrs)
 	}
 	if d.Metrics.Counters["galerkin.steps_total"] != 20 {

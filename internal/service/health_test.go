@@ -114,9 +114,23 @@ func TestMCResultCarriesHealth(t *testing.T) {
 // overruns its latency objective gets pprof evidence captured while it
 // is still running, retrievable at /debug/profiles by trace ID.
 func TestSLOBreachProfileCapture(t *testing.T) {
+	// The test fires each job's objective itself, so wall-clock speed
+	// (the race detector's slowdown included) cannot decide whether a
+	// job breached: the breach watcher of each job hands its timer to
+	// the test and reports through stop when it has returned.
+	type objective struct {
+		fire     chan time.Time
+		returned chan struct{}
+	}
+	objectives := make(chan objective, 2)
 	s := newTestServer(t, Options{
 		QueueDepth: 4, ConcurrentJobs: 1, FlightJobs: 4,
 		SLOProfileAfter: 20 * time.Millisecond,
+		breachTimer: func(time.Duration) (<-chan time.Time, func()) {
+			o := objective{fire: make(chan time.Time, 1), returned: make(chan struct{})}
+			objectives <- o
+			return o.fire, func() { close(o.returned) }
+		},
 	})
 	s.Profiles().CPUDuration = 30 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
@@ -124,8 +138,8 @@ func TestSLOBreachProfileCapture(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 
-	// Enough transient steps that the solve comfortably outlives the
-	// 20 ms objective on any machine.
+	// Enough transient steps that the solve is still running when the
+	// test fires its objective.
 	spec := quickRequest(73)
 	spec.Steps = 20000
 	spec.NoCache = true
@@ -133,6 +147,22 @@ func TestSLOBreachProfileCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for {
+		st, err := c.Status(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateRunning {
+			break
+		}
+		if st.State != StateQueued {
+			t.Fatalf("slow job left the queue as %q before it was seen running", st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	slowObj := <-objectives
+	slowObj.fire <- time.Now()
+	<-slowObj.returned
 	st, err := c.Wait(ctx, sub.ID)
 	if err != nil || st.State != StateDone {
 		t.Fatalf("job: %+v, %v", st, err)
@@ -196,7 +226,9 @@ func TestSLOBreachProfileCapture(t *testing.T) {
 	if err != nil || st2.State != StateDone {
 		t.Fatalf("fast job: %+v, %v", st2, err)
 	}
-	time.Sleep(50 * time.Millisecond) // past the objective timer
+	fastObj := <-objectives
+	fastObj.fire <- time.Now() // the objective expires after the job is done
+	<-fastObj.returned
 	if _, ok := s.Profiles().Get(st2.TraceID, "heap"); ok {
 		t.Error("fast job was profiled despite finishing inside the objective")
 	}

@@ -48,7 +48,7 @@ func guardSummary(rep *numguard.Report) *GuardSummary {
 // either end without rerunning anything.
 type NumHealth struct {
 	// Rung is the numguard ladder rung that served the solve
-	// ("block-cholesky", "cholesky", "lu", "cg+mean-precond", ...).
+	// ("supernodal", "cholesky", "lu", "cg+mean-precond", ...).
 	Rung string `json:"rung,omitempty"`
 	// MaxResidual is the worst accepted scaled residual ‖Ax−b‖/(‖A‖‖x‖)
 	// among verified solves.

@@ -136,6 +136,11 @@ type Options struct {
 	// ProfileRingSize bounds the capture ring (a cpu+heap pair is two
 	// entries). Default 16 when SLOProfileAfter is set.
 	ProfileRingSize int
+	// breachTimer starts the objective timer a job's breach watcher
+	// waits on, returning its expiry channel and a stop function that
+	// the watcher calls when it returns. nil means a real timer; tests
+	// set it to fire the objective themselves.
+	breachTimer func(time.Duration) (<-chan time.Time, func())
 	// Peers lists the other shards' base URLs for cluster peer mode:
 	// on a local cache miss the shard peeks each peer's /cache/{key}
 	// (bounded by PeekTimeout, miss-tolerant) before solving, and on
@@ -861,12 +866,19 @@ func (s *Server) runJob(j *job) {
 // kills). Runs on its own goroutine; Capture blocks for the CPU
 // window, which is why this must not run on the worker.
 func (s *Server) profileOnBreach(j *job) {
-	t := time.NewTimer(s.opts.SLOProfileAfter)
-	defer t.Stop()
+	start := s.opts.breachTimer
+	if start == nil {
+		start = func(d time.Duration) (<-chan time.Time, func()) {
+			t := time.NewTimer(d)
+			return t.C, func() { t.Stop() }
+		}
+	}
+	expired, stop := start(s.opts.SLOProfileAfter)
+	defer stop()
 	select {
 	case <-j.done:
 		return // finished inside the objective; nothing to capture
-	case <-t.C:
+	case <-expired:
 	}
 	// done closes after the terminal telemetry; a finished job is done.
 	s.mu.Lock()
